@@ -143,6 +143,32 @@ void BM_EventSchedulingThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_EventSchedulingThroughput);
 
+// The request/reply shape of every name-service exchange: each request
+// arms a long timeout, and its reply, a short hop later, cancels it and
+// issues the next request. The argument is the number of requests in
+// flight. A queue that only marks cancelled timers keeps each one until
+// its deadline, ~1,500 dead entries per live request here, and every
+// schedule and fire sifts past them; an eager cancel leaves none.
+void BM_SimTimeoutChurn(benchmark::State& state) {
+  constexpr SimDuration kTimeout = 151'200;  // the remote-miss request timeout
+  constexpr SimDuration kReplyLatency = 100;  // request + reply transit
+  struct Churn {
+    Simulator sim;
+    void request() {
+      const EventId timeout = sim.schedule_in(kTimeout, [] {});
+      sim.schedule_in(kReplyLatency, [this, timeout] {
+        sim.cancel(timeout);
+        request();
+      });
+    }
+  } churn;
+  for (std::int64_t i = 0; i < state.range(0); ++i) churn.request();
+  for (auto _ : state) churn.sim.run(1);  // one reply: cancel + 2 schedules
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["slots"] = static_cast<double>(churn.sim.slot_count());
+}
+BENCHMARK(BM_SimTimeoutChurn)->Arg(16)->Arg(256);
+
 }  // namespace
 }  // namespace namecoh
 

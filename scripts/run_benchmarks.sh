@@ -18,7 +18,7 @@ if [[ ! -d "$build_dir" ]]; then
 fi
 cmake --build "$build_dir" -j >/dev/null
 
-for bench in bench_core_resolution bench_ns_cache bench_x4_failover bench_x5_pipeline bench_x6_coherence bench_x7_shard bench_x8_rebalance bench_x9_churn; do
+for bench in bench_core_resolution bench_net_messaging bench_ns_cache bench_x4_failover bench_x5_pipeline bench_x6_coherence bench_x7_shard bench_x8_rebalance bench_x9_churn; do
   bin="$build_dir/bench/$bench"
   if [[ ! -x "$bin" ]]; then
     echo "error: $bin missing (benchmark target not built?)" >&2

@@ -7,7 +7,11 @@ namespace namecoh {
 Transport::Transport(Simulator& sim, Internetwork& net,
                      TransportConfig config, std::uint64_t seed,
                      MetricsRegistry* metrics)
-    : sim_(sim), net_(net), config_(config), rng_(seed) {
+    : sim_(sim),
+      net_(net),
+      config_(config),
+      rng_(seed),
+      sim_resets_seen_(sim.resets()) {
   if (metrics == nullptr) {
     owned_metrics_ = std::make_unique<MetricsRegistry>();
     metrics = owned_metrics_.get();
@@ -96,13 +100,16 @@ Status Transport::send(EndpointId from, const Pid& to, Message message) {
   }
 
   sent_->inc();
-  std::vector<std::uint8_t> frame = message.payload.encode();
-  bytes_sent_->inc(frame.size());
+  const std::uint32_t slot = acquire_slot();
+  message.payload.encode_into(inflight_[slot].frame);
+  const std::size_t frame_size = inflight_[slot].frame.size();
+  bytes_sent_->inc(frame_size);
   tracer_.record(sim_.now(), EventKind::kSend, message.trace_corr,
-                 from.value(), frame.size());
+                 from.value(), frame_size);
 
   if (config_.drop_probability > 0.0 &&
       rng_.bernoulli(config_.drop_probability)) {
+    release_slot(slot);
     dropped_->inc();
     tracer_.record(sim_.now(), EventKind::kDrop, message.trace_corr,
                    from.value());
@@ -119,6 +126,7 @@ Status Transport::send(EndpointId from, const Pid& to, Message message) {
     auto receiver_machine = net_.machine_of(target.value());
     if (sender_machine.is_ok() &&
         faults_->is_crashed(sender_machine.value().value())) {
+      release_slot(slot);
       dropped_->inc();
       fault_crash_drops_->inc();
       tracer_.record(sim_.now(), EventKind::kFaultDropCrash,
@@ -128,6 +136,7 @@ Status Transport::send(EndpointId from, const Pid& to, Message message) {
     if (sender_machine.is_ok() && receiver_machine.is_ok() &&
         faults_->is_partitioned(sender_machine.value().value(),
                                 receiver_machine.value().value())) {
+      release_slot(slot);
       dropped_->inc();
       fault_partition_drops_->inc();
       tracer_.record(sim_.now(), EventKind::kFaultDropPartition,
@@ -143,33 +152,73 @@ Status Transport::send(EndpointId from, const Pid& to, Message message) {
       latency += extra;
     }
   }
-  EndpointId intended = target.value();
-  Location sender_at_send = from_loc.value();
-  Location target_address = target_loc.value();
-  std::uint32_t type = message.type;
-  std::uint64_t trace_corr = message.trace_corr;
-  sim_.schedule_in(latency, [this, intended, target_address, sender_at_send,
-                             frame = std::move(frame), type,
-                             trace_corr]() mutable {
-    deliver(intended, target_address, sender_at_send, std::move(frame), type,
-            trace_corr);
-  });
+  InFlight& flight = inflight_[slot];
+  flight.intended = target.value();
+  flight.target = target_loc.value();
+  flight.sender_at_send = from_loc.value();
+  flight.type = message.type;
+  flight.trace_corr = message.trace_corr;
+  sim_.schedule_in(latency, [this, slot] { deliver(slot); });
   return Status::ok();
 }
 
-void Transport::deliver(EndpointId intended, Location target,
-                        Location sender_at_send,
-                        std::vector<std::uint8_t> frame, std::uint32_t type,
-                        std::uint64_t trace_corr) {
+std::uint32_t Transport::acquire_slot() {
+  if (sim_.resets() != sim_resets_seen_) {
+    // A simulator reset dropped every pending delivery unfired: all slots
+    // are free again.
+    sim_resets_seen_ = sim_.resets();
+    free_inflight_.clear();
+    for (std::size_t i = inflight_.size(); i-- > 0;) {
+      free_inflight_.push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+  if (!free_inflight_.empty()) {
+    const std::uint32_t slot = free_inflight_.back();
+    free_inflight_.pop_back();
+    return slot;
+  }
+  inflight_.emplace_back();
+  return static_cast<std::uint32_t>(inflight_.size() - 1);
+}
+
+void Transport::release_slot(std::uint32_t slot) {
+  // Keep an ordinary frame's buffer for the next message; give back the
+  // memory of an outsized one (a handoff snapshot) at once.
+  constexpr std::size_t kKeepFrameBytes = 64 * 1024;
+  std::vector<std::uint8_t>& frame = inflight_[slot].frame;
+  if (frame.capacity() > kKeepFrameBytes) {
+    std::vector<std::uint8_t>().swap(frame);
+  }
+  free_inflight_.push_back(slot);
+}
+
+void Transport::deliver(std::uint32_t slot) {
+  EndpointId receiver;
+  Message message;
+  const bool received = receive(inflight_[slot], receiver, message);
+  // Freed before the handler runs: the handler may send, reusing the slot
+  // (and possibly growing the table under any reference into it).
+  release_slot(slot);
+  if (!received) return;
+  delivered_->inc();
+  tracer_.record(sim_.now(), EventKind::kDeliver, message.trace_corr,
+                 receiver.value());
+  auto it = handlers_.find(receiver);
+  if (it != handlers_.end()) it->second(receiver, std::move(message));
+}
+
+bool Transport::receive(const InFlight& flight, EndpointId& receiver,
+                        Message& message) {
+  const std::uint64_t trace_corr = flight.trace_corr;
   // Re-resolve the *address* at delivery time: renumbering mid-flight can
   // orphan the address or (with reuse) hand it to a different process.
-  auto now_there = net_.endpoint_at(target);
+  auto now_there = net_.endpoint_at(flight.target);
   if (!now_there.is_ok()) {
     unreachable_->inc();
     tracer_.record(sim_.now(), EventKind::kUnreachable, trace_corr);
-    return;
+    return false;
   }
-  EndpointId receiver = now_there.value();
+  receiver = now_there.value();
   if (faults_ != nullptr) {
     // A machine that is down *at delivery time* receives nothing: messages
     // in flight when the crash hit die here, exactly like a kernel losing
@@ -181,42 +230,42 @@ void Transport::deliver(EndpointId intended, Location target,
       fault_crash_drops_->inc();
       tracer_.record(sim_.now(), EventKind::kFaultDropCrash, trace_corr,
                      receiver_machine.value().value());
-      return;
+      return false;
     }
   }
-  if (receiver != intended) {
+  if (receiver != flight.intended) {
     misdelivered_->inc();
     tracer_.record(sim_.now(), EventKind::kMisdeliver, trace_corr,
                    receiver.value());
   }
 
-  auto payload = Payload::decode(frame);
+  auto payload = Payload::decode(flight.frame);
   if (!payload.is_ok()) {
     NAMECOH_ERROR("wire decode failed: " << payload.status());
-    return;
+    return false;
   }
-  Message message;
-  message.type = type;
+  message.type = flight.type;
   message.trace_corr = trace_corr;
   message.payload = std::move(payload).value();
 
   auto receiver_loc = net_.location_of(receiver);
   if (!receiver_loc.is_ok()) {
     unreachable_->inc();
-    return;
+    return false;
   }
 
   // R(sender): rebase every embedded pid from the sender's context (at send
-  // time) to the receiver's context. With the remap disabled, embedded pids
-  // arrive verbatim and mean whatever they happen to mean at the receiver —
-  // the §6 incoherence.
+  // time) to the receiver's context, walking the fields in place. With the
+  // remap disabled, embedded pids arrive verbatim and mean whatever they
+  // happen to mean at the receiver — the §6 incoherence.
   if (config_.remap_embedded_pids) {
-    for (std::size_t i : message.payload.pid_indices()) {
-      auto rebased =
-          rebase(message.payload.pid_at(i), sender_at_send,
-                 receiver_loc.value());
+    Payload& body = message.payload;
+    for (std::size_t i = 0; i < body.size(); ++i) {
+      if (body.type_at(i) != FieldType::kPid) continue;
+      auto rebased = rebase(body.pid_at(i), flight.sender_at_send,
+                            receiver_loc.value());
       if (rebased.is_ok()) {
-        message.payload.set_pid(i, rebased.value());
+        body.set_pid(i, rebased.value());
         pids_remapped_->inc();
       } else {
         remap_failures_->inc();
@@ -225,13 +274,8 @@ void Transport::deliver(EndpointId intended, Location target,
   }
 
   // Let the receiver reply: the sender's pid relative to the receiver.
-  message.reply_to = relativize(sender_at_send, receiver_loc.value());
-
-  delivered_->inc();
-  tracer_.record(sim_.now(), EventKind::kDeliver, trace_corr,
-                 receiver.value());
-  auto it = handlers_.find(receiver);
-  if (it != handlers_.end()) it->second(receiver, message);
+  message.reply_to = relativize(flight.sender_at_send, receiver_loc.value());
+  return true;
 }
 
 }  // namespace namecoh

@@ -16,6 +16,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "net/topology.hpp"
 #include "net/wire.hpp"
@@ -64,7 +65,10 @@ class Transport {
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
 
-  using Handler = std::function<void(EndpointId self, const Message&)>;
+  /// Receives each delivered message by value: a handler that keeps the
+  /// message (say, to serve it later) moves it instead of copying it.
+  /// Handlers taking `const Message&` fit too.
+  using Handler = std::function<void(EndpointId self, Message message)>;
 
   /// Install the receive handler for an endpoint. Messages to endpoints
   /// without a handler are counted as delivered and discarded.
@@ -86,6 +90,17 @@ class Transport {
   /// index by bare field name, e.g. snapshot()["delivered"].
   [[nodiscard]] StatsSnapshot snapshot() const {
     return StatsSnapshot(*metrics_, "transport.");
+  }
+
+  /// Messages sent and not yet delivered or dropped at delivery.
+  [[nodiscard]] std::size_t in_flight() const {
+    if (sim_.resets() != sim_resets_seen_) return 0;  // all dropped unfired
+    return inflight_.size() - free_inflight_.size();
+  }
+  /// Size of the in-flight slot table: the most messages ever in flight
+  /// at once (slots are recycled, never returned).
+  [[nodiscard]] std::size_t in_flight_slots() const {
+    return inflight_.size();
   }
 
   [[nodiscard]] Simulator& simulator() { return sim_; }
@@ -117,10 +132,27 @@ class Transport {
   [[nodiscard]] FaultInjector* faults() const { return faults_; }
 
  private:
+  /// One message on the wire. Kept in a recycled slot so the delivery
+  /// event captures only (this, slot) and fits std::function's inline
+  /// buffer; `frame` keeps its capacity from one message to the next.
+  struct InFlight {
+    EndpointId intended;
+    Location target;          ///< destination address, re-resolved at delivery
+    Location sender_at_send;  ///< R(sender)'s context
+    std::uint32_t type = 0;
+    std::uint64_t trace_corr = 0;
+    std::vector<std::uint8_t> frame;
+  };
+
   SimDuration latency_between(const Location& a, const Location& b) const;
-  void deliver(EndpointId intended, Location target, Location sender_at_send,
-               std::vector<std::uint8_t> frame, std::uint32_t type,
-               std::uint64_t trace_corr);
+  std::uint32_t acquire_slot();
+  void release_slot(std::uint32_t slot);
+  void deliver(std::uint32_t slot);
+  /// Everything delivery does short of calling the handler: re-resolve the
+  /// address, apply receive-side faults, decode and remap. False when the
+  /// message dies here.
+  bool receive(const InFlight& flight, EndpointId& receiver,
+               Message& message);
 
   Simulator& sim_;
   Internetwork& net_;
@@ -142,6 +174,12 @@ class Transport {
   Tracer tracer_;
   FaultInjector* faults_ = nullptr;
   std::unordered_map<EndpointId, Handler> handlers_;
+  std::vector<InFlight> inflight_;
+  std::vector<std::uint32_t> free_inflight_;
+  /// Simulator::resets() when the slot table was last known to match the
+  /// simulator's queue; a reset drops delivery events unfired, and their
+  /// slots are reclaimed at the next send.
+  std::uint64_t sim_resets_seen_ = 0;
 };
 
 }  // namespace namecoh

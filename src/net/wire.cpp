@@ -1,5 +1,7 @@
 #include "net/wire.hpp"
 
+#include <algorithm>
+
 namespace namecoh {
 
 Payload& Payload::add_u64(std::uint64_t v) {
@@ -148,31 +150,95 @@ Result<Pid> get_pid(std::span<const std::uint8_t>& in) {
   return pid;
 }
 
-std::vector<std::uint8_t> Payload::encode() const {
-  std::vector<std::uint8_t> out;
-  put_varint(out, fields_.size());
+namespace {
+
+std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
+std::uint8_t* write_varint(std::uint8_t* p, std::uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<std::uint8_t>(v) | 0x80;
+    v >>= 7;
+  }
+  *p++ = static_cast<std::uint8_t>(v);
+  return p;
+}
+
+}  // namespace
+
+std::size_t Payload::encoded_size() const {
+  std::size_t n = varint_size(fields_.size());
   for (const Field& f : fields_) {
-    out.push_back(static_cast<std::uint8_t>(f.type));
+    n += 1;  // type tag
     switch (f.type) {
       case FieldType::kU64:
-        put_varint(out, std::get<std::uint64_t>(f.value));
+        n += varint_size(std::get<std::uint64_t>(f.value));
         break;
       case FieldType::kString:
-      case FieldType::kName:
-        put_bytes(out, std::get<std::string>(f.value));
+      case FieldType::kName: {
+        const std::size_t len = std::get<std::string>(f.value).size();
+        n += varint_size(len) + len;
         break;
-      case FieldType::kPid:
-        put_pid(out, std::get<Pid>(f.value));
+      }
+      case FieldType::kPid: {
+        const Pid& pid = std::get<Pid>(f.value);
+        n += varint_size(pid.naddr) + varint_size(pid.maddr) +
+             varint_size(pid.laddr);
         break;
+      }
     }
   }
+  return n;
+}
+
+std::vector<std::uint8_t> Payload::encode() const {
+  std::vector<std::uint8_t> out;
+  encode_into(out);
   return out;
+}
+
+void Payload::encode_into(std::vector<std::uint8_t>& out) const {
+  out.resize(encoded_size());
+  std::uint8_t* p = write_varint(out.data(), fields_.size());
+  for (const Field& f : fields_) {
+    *p++ = static_cast<std::uint8_t>(f.type);
+    switch (f.type) {
+      case FieldType::kU64:
+        p = write_varint(p, std::get<std::uint64_t>(f.value));
+        break;
+      case FieldType::kString:
+      case FieldType::kName: {
+        const std::string& bytes = std::get<std::string>(f.value);
+        p = write_varint(p, bytes.size());
+        p = std::copy(bytes.begin(), bytes.end(), p);
+        break;
+      }
+      case FieldType::kPid: {
+        const Pid& pid = std::get<Pid>(f.value);
+        p = write_varint(p, pid.naddr);
+        p = write_varint(p, pid.maddr);
+        p = write_varint(p, pid.laddr);
+        break;
+      }
+    }
+  }
+  NAMECOH_CHECK(p == out.data() + out.size(), "frame size mismatch");
 }
 
 Result<Payload> Payload::decode(std::span<const std::uint8_t> bytes) {
   Payload out;
   auto count = get_varint(bytes);
   if (!count.is_ok()) return count.status();
+  // Every field takes at least two bytes (a tag and a one-byte value), so
+  // the remaining bytes bound how many fields the frame can really hold.
+  out.fields_.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(count.value(), bytes.size() / 2)));
   for (std::uint64_t i = 0; i < count.value(); ++i) {
     if (bytes.empty()) return invalid_argument_error("truncated payload");
     auto type = static_cast<FieldType>(bytes.front());

@@ -51,6 +51,12 @@ class Payload {
  public:
   Payload() = default;
 
+  /// Make room for `fields` fields, so a builder that knows its field
+  /// count appends without regrowing.
+  Payload& reserve(std::size_t fields) {
+    fields_.reserve(fields);
+    return *this;
+  }
   Payload& add_u64(std::uint64_t v);
   Payload& add_string(std::string v);
   Payload& add_pid(Pid v);
@@ -86,12 +92,23 @@ class Payload {
   [[nodiscard]] std::vector<std::size_t> name_indices() const;
   void set_name(std::size_t i, std::string path);
 
+  /// The frame, sized first and allocated once.
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
+  /// Replace `out`'s contents with the frame. Reuses `out`'s capacity, so
+  /// a buffer kept across messages stops allocating once it has grown to
+  /// the largest frame it carries.
+  void encode_into(std::vector<std::uint8_t>& out) const;
+  /// Parse a frame. The field vector is reserved up front, but never for
+  /// more fields than the remaining bytes could hold, so a hostile field
+  /// count cannot force a large allocation.
   static Result<Payload> decode(std::span<const std::uint8_t> bytes);
 
   friend bool operator==(const Payload&, const Payload&) = default;
 
  private:
+  /// Exact length of the frame, computed without encoding.
+  [[nodiscard]] std::size_t encoded_size() const;
+
   std::vector<Field> fields_;
 };
 

@@ -495,6 +495,7 @@ void NameService::push_invalidations(MachineId machine, EntityId ctx) {
     // itself is the holder's fallback bound.
     Message push;
     push.type = NsWire::kInvalidate;
+    push.payload.reserve(4);
     push.payload.add_u64(id);
     push.payload.add_u64(ctx.value());
     push.payload.add_u64(epoch);
@@ -545,6 +546,7 @@ bool NameService::push_snapshot(EntityId ctx, MachineId to) {
   const auto bindings = graph_.context(ctx).bindings();
   Message push;
   push.type = NsWire::kUpdatePush;
+  push.payload.reserve(3 + 2 * bindings.size());
   push.payload.add_u64(ctx.value());
   push.payload.add_u64(epoch);
   push.payload.add_u64(bindings.size());
@@ -644,7 +646,7 @@ EndpointId NameService::add_server(MachineId machine) {
   load_[machine] = MachineLoad{&metrics.counter(mprefix + "served"),
                                &metrics.counter(mprefix + "wait_ticks")};
   transport_.set_handler(
-      server, [this, machine](EndpointId self, const Message& message) {
+      server, [this, machine](EndpointId self, Message message) {
         if (message.type == NsWire::kUpdatePush) {
           handle_update(self, message);
           return;
@@ -666,9 +668,10 @@ EndpointId NameService::add_server(MachineId machine) {
         busy = begin + service_time_;
         load.served->inc();
         load.wait_ticks->inc(begin - sim.now());
-        sim.schedule_in(busy - sim.now(), [this, self, message] {
-          handle_request(self, message);
-        });
+        sim.schedule_in(busy - sim.now(),
+                        [this, self, message = std::move(message)] {
+                          handle_request(self, message);
+                        });
       });
   return server;
 }
@@ -677,7 +680,9 @@ void NameService::remove_server(MachineId machine) {
   auto it = servers_.find(machine);
   if (it == servers_.end()) return;
   transport_.clear_handler(it->second);
-  net_.remove_endpoint(it->second);
+  // not_found only if the endpoint was removed behind the service's back;
+  // the server's own state below is dropped either way.
+  (void)net_.remove_endpoint(it->second);
   servers_.erase(it);
   // The departed server can honor no promise and answer no straggler:
   // its lease table and forwarding tombstones go with it. busy_until_ is
@@ -749,6 +754,7 @@ void NameService::publish_update(EntityId ctx) {
     // convergence but never corrupt it.
     Message push;
     push.type = NsWire::kUpdatePush;
+    push.payload.reserve(3 + 2 * bindings.size());
     push.payload.add_u64(ctx.value());
     push.payload.add_u64(epoch);
     push.payload.add_u64(bindings.size());
@@ -971,22 +977,8 @@ void NameService::handle_request(EndpointId self, const Message& message) {
                                      : EventKind::kServerError;
     tracer.record(transport_.simulator().now(), kind, corr, self.value(),
                   entity.valid() ? entity.value() : 0);
-    Message reply;
-    reply.type = NsWire::kResolveReply;
-    reply.trace_corr = corr;
-    reply.payload.add_u64(corr);
-    reply.payload.add_u64(disposition);
-    reply.payload.add_u64(entity.valid() ? entity.value() : NsWire::kNoEntity);
-    reply.payload.add_name(std::move(remaining));
-    reply.payload.add_string(std::move(error));
-    reply.payload.add_pid(next_server);
     const bool stamp =
         authority.valid() && graph_.is_context_object(authority);
-    reply.payload.add_u64(stamp ? authority.value() : NsWire::kNoEntity);
-    reply.payload.add_u64(stamp ? (epoch_override
-                                       ? *epoch_override
-                                       : graph_.rebind_epoch(authority))
-                                : 0);
     std::vector<std::pair<Pid, std::uint64_t>> tail;
     if (stamp) {
       for (MachineId m : homes_.replicas_of(authority)) {
@@ -998,6 +990,23 @@ void NameService::handle_request(EndpointId self, const Message& message) {
                           m.value());
       }
     }
+    Message reply;
+    reply.type = NsWire::kResolveReply;
+    reply.trace_corr = corr;
+    // Nine fixed fields, the replica tail, the lease pair and the glue
+    // flag: one allocation for every reply but a glue-carrying referral.
+    reply.payload.reserve(9 + 2 * tail.size() + 3);
+    reply.payload.add_u64(corr);
+    reply.payload.add_u64(disposition);
+    reply.payload.add_u64(entity.valid() ? entity.value() : NsWire::kNoEntity);
+    reply.payload.add_name(std::move(remaining));
+    reply.payload.add_string(std::move(error));
+    reply.payload.add_pid(next_server);
+    reply.payload.add_u64(stamp ? authority.value() : NsWire::kNoEntity);
+    reply.payload.add_u64(stamp ? (epoch_override
+                                       ? *epoch_override
+                                       : graph_.rebind_epoch(authority))
+                                : 0);
     reply.payload.add_u64(tail.size());
     for (auto& [pid, machine] : tail) {
       reply.payload.add_pid(pid);
@@ -1592,8 +1601,10 @@ void ResolverClient::start_hop(PendingResolve& p) {
   p.candidate = 0;
   p.hop_begin = sim_.now();
   p.failed_over = false;
-  p.last_error = unreachable_error("no reachable replica for this hop");
   if (p.order.empty()) {
+    // Built only here: every hop that has a candidate overwrites
+    // last_error (fail_candidate) before anything reads it.
+    p.last_error = unreachable_error("no reachable replica for this hop");
     complete(p, p.last_error);
     return;
   }
@@ -1628,6 +1639,7 @@ void ResolverClient::send_attempt(PendingResolve& p) {
     tracer.record_in_span(p.owner_span, sim_.now(), EventKind::kBackoffRetry,
                           p.attempt, p.timeout);
   }
+  request.payload.reserve(4);
   request.payload.add_u64(p.expected_corr);
   request.payload.add_u64(p.current.value());
   request.payload.add_name(p.hop_text);

@@ -9,10 +9,19 @@ EventId Simulator::schedule_at(SimTime at, std::function<void()> action) {
                 "cannot schedule events inside a pure-compute section");
   NAMECOH_CHECK(at >= now_, "cannot schedule an event in the past");
   NAMECOH_CHECK(static_cast<bool>(action), "null event action");
-  std::uint64_t id = next_id_++;
-  queue_.push(Entry{at, next_seq_++, id, std::move(action)});
-  pending_.insert(id);
-  return EventId(id);
+  std::uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    NAMECOH_CHECK(slots_.size() < kNotQueued, "too many pending events");
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  slots_[slot].action = std::move(action);
+  heap_.push_back(Key{at, next_seq_++, slot});
+  sift_up(heap_.size() - 1);
+  return EventId((std::uint64_t{slots_[slot].generation} << 32) | slot);
 }
 
 EventId Simulator::schedule_in(SimDuration delay,
@@ -21,30 +30,75 @@ EventId Simulator::schedule_in(SimDuration delay,
 }
 
 bool Simulator::cancel(EventId id) {
-  return id.valid() && pending_.erase(id.value()) > 0;
+  if (!id.valid()) return false;
+  const auto slot = static_cast<std::uint32_t>(id.value());
+  const auto generation = static_cast<std::uint32_t>(id.value() >> 32);
+  if (slot >= slots_.size()) return false;
+  const Slot& s = slots_[slot];
+  if (s.generation != generation || s.heap_pos == kNotQueued) return false;
+  // The action is destroyed when take()'s result goes out of scope, after
+  // the heap and slot table are consistent again.
+  take(s.heap_pos);
+  return true;
 }
 
-std::optional<SimTime> Simulator::next_event_time() {
-  while (!queue_.empty() && !pending_.contains(queue_.top().id)) {
-    queue_.pop();  // cancelled; discard lazily, as fire_next() would
+void Simulator::sift_up(std::size_t pos) {
+  const Key key = heap_[pos];
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!earlier(key, heap_[parent])) break;
+    place(pos, heap_[parent]);
+    pos = parent;
   }
-  if (queue_.empty()) return std::nullopt;
-  return queue_.top().at;
+  place(pos, key);
+}
+
+void Simulator::sift_down(std::size_t pos) {
+  const Key key = heap_[pos];
+  const std::size_t n = heap_.size();
+  while (true) {
+    std::size_t child = 2 * pos + 1;
+    if (child >= n) break;
+    if (child + 1 < n && earlier(heap_[child + 1], heap_[child])) ++child;
+    if (!earlier(heap_[child], key)) break;
+    place(pos, heap_[child]);
+    pos = child;
+  }
+  place(pos, key);
+}
+
+std::function<void()> Simulator::take(std::size_t pos) {
+  const std::uint32_t slot = heap_[pos].slot;
+  const Key last = heap_.back();
+  heap_.pop_back();
+  if (pos < heap_.size()) {
+    place(pos, last);
+    if (pos > 0 && earlier(last, heap_[(pos - 1) / 2])) {
+      sift_up(pos);
+    } else {
+      sift_down(pos);
+    }
+  }
+  Slot& s = slots_[slot];
+  std::function<void()> action;
+  action.swap(s.action);
+  s.heap_pos = kNotQueued;
+  ++s.generation;
+  free_slots_.push_back(slot);
+  return action;
 }
 
 bool Simulator::fire_next() {
   NAMECOH_CHECK(!in_pure_section(),
                 "cannot fire events inside a pure-compute section");
-  while (!queue_.empty()) {
-    Entry entry = queue_.top();
-    queue_.pop();
-    if (pending_.erase(entry.id) == 0) continue;  // cancelled; skip silently
-    now_ = entry.at;
-    ++events_processed_;
-    entry.action();
-    return true;
-  }
-  return false;
+  if (heap_.empty()) return false;
+  now_ = heap_.front().at;
+  // Moved out and the slot freed before running: the action may schedule
+  // (reusing this very slot) or cancel itself, which then returns false.
+  std::function<void()> action = take(0);
+  ++events_processed_;
+  action();
+  return true;
 }
 
 std::uint64_t Simulator::run(std::uint64_t max_events) {
@@ -57,15 +111,11 @@ std::uint64_t Simulator::run_until(SimTime until) {
   NAMECOH_CHECK(!in_pure_section(),
                 "cannot run the simulator inside a pure-compute section");
   std::uint64_t fired = 0;
-  // Deadline checks must look past cancelled entries: a cancelled head at
-  // t <= until used to admit fire_next(), which discarded it and then fired
-  // the next *pending* event even when that one was after the deadline.
-  // next_event_time() prunes cancelled heads, so the timestamp it reports
-  // is the one fire_next() will actually run.
-  while (true) {
-    auto next = next_event_time();
-    if (!next || *next > until) break;
-    if (fire_next()) ++fired;
+  // Cancelled events leave the heap at once, so the head is always the
+  // event fire_next() will run.
+  while (!heap_.empty() && heap_.front().at <= until) {
+    fire_next();
+    ++fired;
   }
   now_ = std::max(now_, until);
   return fired;
@@ -81,11 +131,23 @@ std::uint64_t Simulator::run_while(const std::function<bool()>& keep_going) {
 void Simulator::reset() {
   NAMECOH_CHECK(!in_pure_section(),
                 "cannot reset the simulator inside a pure-compute section");
-  queue_ = {};
-  pending_.clear();
+  // Free every pending slot and advance its generation, so no id from
+  // before the reset matches a slot's next occupant. The actions are
+  // destroyed only once the table is consistent.
+  std::vector<std::function<void()>> dropped;
+  dropped.reserve(heap_.size());
+  for (const Key& key : heap_) {
+    Slot& s = slots_[key.slot];
+    dropped.push_back(std::move(s.action));
+    s.action = nullptr;
+    s.heap_pos = kNotQueued;
+    ++s.generation;
+    free_slots_.push_back(key.slot);
+  }
+  heap_.clear();
   now_ = 0;
-  // next_id_/next_seq_ keep increasing so stale EventIds never alias.
   events_processed_ = 0;
+  ++resets_;
 }
 
 }  // namespace namecoh

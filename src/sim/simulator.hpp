@@ -6,13 +6,21 @@
 // equal timestamps fire in scheduling order (a monotonically increasing
 // sequence number breaks ties), so runs are deterministic regardless of
 // container iteration order.
+//
+// Representation: pending events are an indexed binary min-heap of small
+// POD keys {at, seq, slot}; the callables live in a recycled slot table
+// and every slot records its key's heap position. Cancelling removes the
+// key at once (O(log n)), so a cancelled timer leaves nothing behind that
+// later pushes and pops would have to sift past. An EventId names a
+// (generation, slot) pair: a slot's generation advances every time its
+// event fires, is cancelled or is dropped by reset(), so a stale id can
+// never cancel a later event that happens to reuse the slot (short of the
+// 32-bit generation wrapping, after 2^32 reuses of one slot).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "util/ids.hpp"
@@ -25,7 +33,7 @@ namespace namecoh {
 using SimTime = std::uint64_t;
 using SimDuration = std::uint64_t;
 
-/// Handle for cancelling a scheduled event.
+/// Handle for cancelling a scheduled event: (generation << 32) | slot.
 struct EventTag {};
 using EventId = StrongId<EventTag>;
 
@@ -39,21 +47,33 @@ class Simulator {
   [[nodiscard]] std::uint64_t events_processed() const {
     return events_processed_;
   }
-  [[nodiscard]] std::size_t pending() const { return pending_.size(); }
+  /// Events scheduled and neither fired nor cancelled.
+  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
+  /// Size of the slot table: the most events ever pending at once (slots
+  /// are recycled, never returned). Bounded by live events, not by how
+  /// many were cancelled.
+  [[nodiscard]] std::size_t slot_count() const { return slots_.size(); }
+  /// How many times reset() has run. Layers that keep per-event state of
+  /// their own (the transport's in-flight frames) compare it to reclaim
+  /// that state when a reset drops their events unfired.
+  [[nodiscard]] std::uint64_t resets() const { return resets_; }
 
   /// Timestamp of the earliest pending event, or nullopt when the queue is
   /// empty. Lets callers wait with a deadline ("run events up to t, no
-  /// further") without firing anything. Non-const: prunes cancelled entries
-  /// lingering at the head of the queue.
-  [[nodiscard]] std::optional<SimTime> next_event_time();
+  /// further") without firing anything.
+  [[nodiscard]] std::optional<SimTime> next_event_time() const {
+    if (heap_.empty()) return std::nullopt;
+    return heap_.front().at;
+  }
 
   /// Schedule `action` to run at absolute time `at` (>= now).
   EventId schedule_at(SimTime at, std::function<void()> action);
   /// Schedule `action` to run `delay` ticks from now.
   EventId schedule_in(SimDuration delay, std::function<void()> action);
 
-  /// Cancel a pending event; returns false if it already ran or was
-  /// already cancelled.
+  /// Cancel a pending event; returns false if it already ran, was already
+  /// cancelled, or was dropped by reset(). The event's action is destroyed
+  /// before this returns.
   bool cancel(EventId id);
 
   /// Run until the queue is empty or `max_events` have fired.
@@ -85,27 +105,42 @@ class Simulator {
 
  private:
   friend class PureComputeSection;
-  struct Entry {
+  static constexpr std::uint32_t kNotQueued = ~std::uint32_t{0};
+
+  /// Heap key: ordered by (at, seq); seq is unique, so the order is total
+  /// and the firing sequence does not depend on the heap's shape.
+  struct Key {
     SimTime at;
     std::uint64_t seq;
-    std::uint64_t id;
-    std::function<void()> action;
+    std::uint32_t slot;
   };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
+  struct Slot {
+    std::function<void()> action;
+    std::uint32_t heap_pos = kNotQueued;  ///< kNotQueued while free
+    std::uint32_t generation = 0;
   };
 
+  static bool earlier(const Key& a, const Key& b) {
+    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+  }
+  void place(std::size_t pos, const Key& key) {
+    heap_[pos] = key;
+    slots_[key.slot].heap_pos = static_cast<std::uint32_t>(pos);
+  }
+  void sift_up(std::size_t pos);
+  void sift_down(std::size_t pos);
+  /// Remove the key at heap position `pos` and return its slot's action;
+  /// the slot is freed and its generation advanced.
+  std::function<void()> take(std::size_t pos);
   bool fire_next();
 
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
-  std::unordered_set<std::uint64_t> pending_;  // ids not yet fired/cancelled
+  std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;  ///< LIFO: reuse the warmest slot
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t next_id_ = 0;
   std::uint64_t events_processed_ = 0;
+  std::uint64_t resets_ = 0;
   int pure_depth_ = 0;
 };
 

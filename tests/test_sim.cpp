@@ -141,6 +141,130 @@ TEST(Simulator, StaleEventIdAfterResetCannotCancelNewEvents) {
   EXPECT_EQ(fired, 1);
 }
 
+TEST(Simulator, FiredOrCancelledIdCannotCancelSlotReuser) {
+  Simulator sim;
+  int fired = 0;
+  // Fired: the next event reuses the freed slot under a new generation.
+  EventId ran = sim.schedule_at(1, [] {});
+  sim.run();
+  sim.schedule_at(2, [&] { ++fired; });
+  EXPECT_EQ(sim.slot_count(), 1u);
+  EXPECT_FALSE(sim.cancel(ran));
+  // Cancelled: likewise.
+  EventId dead = sim.schedule_at(3, [&] { fired += 100; });
+  EXPECT_EQ(sim.slot_count(), 2u);
+  EXPECT_TRUE(sim.cancel(dead));
+  sim.schedule_at(4, [&] { ++fired; });
+  EXPECT_EQ(sim.slot_count(), 2u);
+  EXPECT_FALSE(sim.cancel(dead));
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(Simulator, ActionCanCancelAnotherEventAndNotItself) {
+  Simulator sim;
+  int other_fired = 0;
+  bool cancelled_other = false;
+  bool cancelled_self = true;
+  EventId self;
+  EventId other = sim.schedule_at(20, [&] { ++other_fired; });
+  self = sim.schedule_at(10, [&] {
+    cancelled_other = sim.cancel(other);
+    cancelled_self = sim.cancel(self);  // already firing: nothing to cancel
+  });
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_TRUE(cancelled_other);
+  EXPECT_FALSE(cancelled_self);
+  EXPECT_EQ(other_fired, 0);
+  EXPECT_EQ(sim.now(), 10u);
+}
+
+TEST(Simulator, CancelledTimersLeaveNoResidue) {
+  Simulator sim;
+  constexpr SimDuration kFarFuture = 1'000'000'000;
+  for (int i = 0; i < 100'000; ++i) {
+    EventId timer = sim.schedule_in(kFarFuture, [] {});
+    ASSERT_TRUE(sim.cancel(timer));
+  }
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.slot_count(), 1u);
+  EXPECT_FALSE(sim.next_event_time().has_value());
+
+  // Request/reply shape: every reply cancels its request's long timeout.
+  int timeouts = 0;
+  for (int i = 0; i < 100'000; ++i) {
+    EventId timer = sim.schedule_in(kFarFuture, [&] { ++timeouts; });
+    sim.schedule_in(1, [&sim, timer] { sim.cancel(timer); });
+    ASSERT_EQ(sim.run(1), 1u);
+  }
+  EXPECT_EQ(timeouts, 0);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_LE(sim.slot_count(), 2u);
+  EXPECT_FALSE(sim.next_event_time().has_value());
+}
+
+TEST(Simulator, ResetInvalidatesEveryOutstandingId) {
+  Simulator sim;
+  std::vector<EventId> old_ids;
+  for (SimTime t = 1; t <= 8; ++t) old_ids.push_back(sim.schedule_at(t, [] {}));
+  sim.reset();
+  EXPECT_EQ(sim.resets(), 1u);
+  int fired = 0;
+  for (SimTime t = 1; t <= 8; ++t) sim.schedule_at(t, [&] { ++fired; });
+  EXPECT_EQ(sim.slot_count(), 8u);  // every new event reuses an old slot
+  for (EventId id : old_ids) EXPECT_FALSE(sim.cancel(id));
+  EXPECT_EQ(sim.run(), 8u);
+  EXPECT_EQ(fired, 8);
+}
+
+// Property: under random interleavings of schedule, cancel and fire, the
+// indexed heap fires exactly the surviving events in (time, scheduling)
+// order — checked against a sorted reference model.
+TEST(Simulator, RandomCancelsMatchReferenceOrder) {
+  Simulator sim;
+  std::uint64_t x = 88172645463325252ULL;
+  auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  struct Ref {
+    SimTime at;
+    int tag;
+    EventId id;
+  };
+  std::vector<Ref> live;  // in scheduling order
+  std::vector<int> fired;
+  std::vector<int> expected;
+  int tag = 0;
+  for (int step = 0; step < 20'000; ++step) {
+    const std::uint64_t op = next() % 8;
+    if (op < 4) {
+      const SimTime at = sim.now() + next() % 64;
+      const int t = tag++;
+      live.push_back({at, t, sim.schedule_at(at, [&fired, t] {
+                        fired.push_back(t);
+                      })});
+    } else if (op < 6 && !live.empty()) {
+      const std::size_t i = next() % live.size();
+      ASSERT_TRUE(sim.cancel(live[i].id));
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+    } else if (!live.empty()) {
+      // Reference: the earliest time, first scheduled among equals.
+      std::size_t best = 0;
+      for (std::size_t i = 1; i < live.size(); ++i) {
+        if (live[i].at < live[best].at) best = i;
+      }
+      expected.push_back(live[best].tag);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(best));
+      ASSERT_EQ(sim.run(1), 1u);
+    }
+    ASSERT_EQ(sim.pending(), live.size());
+  }
+  EXPECT_EQ(fired, expected);
+}
+
 // Regression: run_until's deadline check used to look at the raw queue
 // head. A *cancelled* event before the deadline would admit fire_next(),
 // which discarded it and then ran the next pending event even when that

@@ -309,6 +309,110 @@ TEST_F(TransportTest, DropSeedDeterminism) {
   EXPECT_EQ(run(7), run(7));
 }
 
+// Every way a message can die returns its in-flight slot: 10,000 sends
+// per way never grow the slot table past the one slot a message needs.
+TEST_F(TransportTest, DroppedMessagesReturnTheirInFlightSlot) {
+  constexpr int kSends = 10'000;
+  FaultInjector faults(sim_);
+  Transport tp(sim_, net_);
+  tp.attach_faults(&faults);
+  int received = 0;
+  tp.set_handler(c_, [&](EndpointId, const Message&) { ++received; });
+  auto send_to_c = [&] {
+    Message msg;
+    msg.payload.add_name("c1/c2/c3").add_pid(Pid::self());
+    ASSERT_TRUE(tp.send(a_, pid_for(c_, a_), std::move(msg)).is_ok());
+  };
+  auto expect_reclaimed = [&](const char* how) {
+    EXPECT_EQ(tp.in_flight(), 0u) << how;
+    EXPECT_EQ(tp.in_flight_slots(), 1u) << how;
+  };
+
+  tp.set_drop_probability(1.0);
+  for (int i = 0; i < kSends; ++i) {
+    send_to_c();
+    sim_.run();
+  }
+  tp.set_drop_probability(0.0);
+  expect_reclaimed("random loss");
+
+  faults.crash(m1_.value());
+  for (int i = 0; i < kSends; ++i) {
+    send_to_c();
+    sim_.run();
+  }
+  faults.restart(m1_.value());
+  expect_reclaimed("crashed sender");
+
+  for (int i = 0; i < kSends; ++i) {
+    send_to_c();
+    faults.crash(m2_.value());  // down when the message lands
+    sim_.run();
+    faults.restart(m2_.value());
+  }
+  expect_reclaimed("crashed receiver");
+
+  faults.partition_one_way(m1_.value(), m2_.value());
+  for (int i = 0; i < kSends; ++i) {
+    send_to_c();
+    sim_.run();
+  }
+  faults.heal_one_way(m1_.value(), m2_.value());
+  expect_reclaimed("partition");
+
+  for (int i = 0; i < kSends; ++i) {
+    send_to_c();
+    ASSERT_TRUE(net_.renumber_machine(m2_).is_ok());  // orphaned in flight
+    sim_.run();
+  }
+  expect_reclaimed("undeliverable");
+
+  EXPECT_EQ(received, 0);
+  EXPECT_EQ(tp.snapshot()["dropped"], 4u * kSends);
+  EXPECT_EQ(tp.snapshot()["unreachable"], std::uint64_t{kSends});
+  send_to_c();
+  sim_.run();
+  EXPECT_EQ(received, 1);
+  expect_reclaimed("delivered");
+}
+
+TEST_F(TransportTest, SimulatorResetReclaimsInFlightSlots) {
+  Transport tp(sim_, net_);
+  int received = 0;
+  tp.set_handler(b_, [&](EndpointId, const Message&) { ++received; });
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(tp.send(a_, pid_for(b_, a_), Message{}).is_ok());
+  }
+  EXPECT_EQ(tp.in_flight(), 3u);
+  sim_.reset();  // drops the three deliveries unfired
+  EXPECT_EQ(tp.in_flight(), 0u);
+  for (int round = 0; round < 100; ++round) {
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(tp.send(a_, pid_for(b_, a_), Message{}).is_ok());
+    }
+    sim_.reset();
+  }
+  EXPECT_EQ(tp.in_flight_slots(), 3u);
+  ASSERT_TRUE(tp.send(a_, pid_for(b_, a_), Message{}).is_ok());
+  sim_.run();
+  EXPECT_EQ(received, 1);
+  EXPECT_EQ(tp.in_flight(), 0u);
+}
+
+TEST_F(TransportTest, HandlerMayKeepTheMessage) {
+  Transport tp(sim_, net_);
+  std::vector<Message> kept;
+  tp.set_handler(c_, [&](EndpointId, Message m) { kept.push_back(std::move(m)); });
+  Message msg;
+  msg.type = 9;
+  msg.payload.add_string(std::string(100, 'k'));
+  ASSERT_TRUE(tp.send(a_, pid_for(c_, a_), std::move(msg)).is_ok());
+  sim_.run();
+  ASSERT_EQ(kept.size(), 1u);
+  EXPECT_EQ(kept[0].type, 9u);
+  EXPECT_EQ(kept[0].payload.string_at(0), std::string(100, 'k'));
+}
+
 TEST_F(TransportTest, SelfPidInPayloadDenotesSenderAfterRemap) {
   Transport tp(sim_, net_);
   Pid received_pid;

@@ -181,6 +181,66 @@ TEST(Payload, DecodeRejectsTrailingBytes) {
   EXPECT_FALSE(Payload::decode(bytes).is_ok());
 }
 
+// Field-by-field encoding with the public primitives: the reference the
+// single-allocation encoder must reproduce byte for byte.
+std::vector<std::uint8_t> reference_encode(const Payload& p) {
+  std::vector<std::uint8_t> out;
+  put_varint(out, p.size());
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    out.push_back(static_cast<std::uint8_t>(p.type_at(i)));
+    switch (p.type_at(i)) {
+      case FieldType::kU64: put_varint(out, p.u64_at(i)); break;
+      case FieldType::kString: put_bytes(out, p.string_at(i)); break;
+      case FieldType::kName: put_bytes(out, p.name_at(i)); break;
+      case FieldType::kPid: put_pid(out, p.pid_at(i)); break;
+    }
+  }
+  return out;
+}
+
+TEST(Payload, EncodeIntoReusedBufferMatchesEncode) {
+  const Addr kMaxAddr = ~Addr{0};
+  std::vector<Payload> payloads(6);
+  payloads[0].add_string(std::string(70'000, 'x'))  // long, 3-byte length
+      .add_name(std::string(200, 'n'));
+  payloads[1].add_u64(0).add_u64(127).add_u64(128).add_u64(~0ULL);
+  payloads[2].add_string("").add_name("").add_string("short");
+  payloads[3].add_pid(Pid{0, 0, 0}).add_pid(Pid{kMaxAddr, kMaxAddr, kMaxAddr});
+  // payloads[4] stays empty.
+  payloads[5]
+      .add_name("c1/c2/c3")
+      .add_pid(Pid{1, 200, 70'000})
+      .add_string(std::string(128, 's'))
+      .add_u64(16384);
+  std::vector<std::uint8_t> buffer;
+  // Large first, then small: the reused buffer must shrink to each frame.
+  for (int round = 0; round < 2; ++round) {
+    for (const Payload& p : payloads) {
+      const std::vector<std::uint8_t> expected = reference_encode(p);
+      p.encode_into(buffer);
+      EXPECT_EQ(buffer, expected);
+      EXPECT_EQ(p.encode(), expected);
+      auto back = Payload::decode(buffer);
+      ASSERT_TRUE(back.is_ok());
+      EXPECT_EQ(back.value(), p);
+    }
+  }
+}
+
+TEST(Payload, HostileFieldCountFailsWithoutLargeReservation) {
+  // The count claims ~2^62 fields; three bytes follow. Reserving the
+  // claimed count would throw or exhaust memory (and trip ASan's
+  // allocation-size check); the decoder must only reject the frame.
+  std::vector<std::uint8_t> frame;
+  put_varint(frame, std::uint64_t{1} << 62);
+  frame.push_back(static_cast<std::uint8_t>(FieldType::kU64));
+  frame.push_back(0x05);
+  frame.push_back(static_cast<std::uint8_t>(FieldType::kU64));
+  auto decoded = Payload::decode(frame);
+  ASSERT_FALSE(decoded.is_ok());
+  EXPECT_EQ(decoded.code(), StatusCode::kInvalidArgument);
+}
+
 // Property sweep: random payloads round-trip bit-exactly.
 class PayloadRoundTrip : public ::testing::TestWithParam<int> {};
 
@@ -212,6 +272,7 @@ TEST_P(PayloadRoundTrip, Random) {
         break;
     }
   }
+  EXPECT_EQ(p.encode(), reference_encode(p));
   auto back = Payload::decode(p.encode());
   ASSERT_TRUE(back.is_ok());
   EXPECT_EQ(back.value(), p);
