@@ -6,7 +6,7 @@
 // The paper's §5.1 lets a context's authority delegate subtrees to other
 // machines; PR 8 turns that single mechanism into a fabric: many authority
 // shards, subtree delegation records in the AuthorityMap, and referral
-// glue (protocol v5) so a client learns the delegate shard's replica set
+// glue so a client learns the delegate shard's replica set
 // in the referral itself instead of paying another round trip
 // (docs/SHARDING.md).
 //
@@ -331,26 +331,29 @@ void BM_ShardRingLookup(benchmark::State& state) {
 BENCHMARK(BM_ShardRingLookup);
 
 void BM_GlueTailParse(benchmark::State& state) {
-  // Decoding a v5 reply tail: 3 replicas + 2 glue records, the shape a
-  // referral from a 3-replica shard with two delegate children produces.
-  Payload payload;
-  payload.add_u64(3);
+  // Decoding a glue-carrying referral reply: 3 replicas + 2 glue records,
+  // the shape a referral from a 3-replica shard with two delegate children
+  // produces.
+  ResolveReply reply;
+  reply.disposition = NsWire::kReferral;
+  reply.entity = EntityId(100);
+  reply.remaining = "c0/f";
+  reply.authority = EntityId(100);
   for (int i = 0; i < 3; ++i) {
-    payload.add_pid(Pid{1, static_cast<Addr>(i + 1), 7});
-    payload.add_u64(static_cast<std::uint64_t>(i));
+    reply.replicas.push_back(WireServer{Pid{1, static_cast<Addr>(i + 1), 7},
+                                        MachineId(i)});
   }
   for (std::uint64_t g = 0; g < 2; ++g) {
-    payload.add_u64(g + 100);  // delegated context
-    payload.add_u64(g);        // owning shard
-    payload.add_u64(2);
+    ResolveReply::Glue glue{EntityId(g + 100), g, {}};  // context, shard
     for (int i = 0; i < 2; ++i) {
-      payload.add_pid(Pid{2, static_cast<Addr>(i + 1), 7});
-      payload.add_u64(static_cast<std::uint64_t>(10 + i));
+      glue.servers.push_back(WireServer{Pid{2, static_cast<Addr>(i + 1), 7},
+                                        MachineId(10 + i)});
     }
+    reply.glue.push_back(std::move(glue));
   }
+  const Payload payload = reply.encode();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(parse_reply_tail(payload, 0, /*expect_lease=*/
-                                              false, /*expect_glue=*/true));
+    benchmark::DoNotOptimize(ResolveReply::decode(payload));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }

@@ -1,6 +1,7 @@
 #include "ns/name_service.hpp"
 
 #include <algorithm>
+#include <tuple>
 #include <utility>
 
 #include "ns/membership.hpp"
@@ -30,80 +31,6 @@ std::optional<NameSlice> referral_suffix(NameSlice sent,
     start = slash + 1;
   }
   return candidate;
-}
-
-ReplyTail parse_reply_tail(const Payload& payload, std::size_t offset,
-                           bool expect_lease, bool expect_glue) {
-  ReplyTail tail;
-  const std::size_t fields = payload.size();
-  std::size_t cursor = offset;
-  // A v2 peer stops at the fixed fields: no tail is a valid (empty) tail.
-  if (cursor >= fields) {
-    tail.valid = true;
-    return tail;
-  }
-  auto u64_field = [&](std::uint64_t* out) {
-    if (cursor >= fields || payload.type_at(cursor) != FieldType::kU64) {
-      return false;
-    }
-    *out = payload.u64_at(cursor++);
-    return true;
-  };
-  auto server_list = [&](std::uint64_t count,
-                         std::vector<ReplyTail::Server>* out) {
-    if (count > (fields - cursor) / 2) return false;  // would overrun
-    for (std::uint64_t j = 0; j < count; ++j) {
-      if (payload.type_at(cursor) != FieldType::kPid ||
-          payload.type_at(cursor + 1) != FieldType::kU64) {
-        return false;
-      }
-      ReplyTail::Server server;
-      server.pid = payload.pid_at(cursor);
-      server.machine = payload.u64_at(cursor + 1);
-      out->push_back(std::move(server));
-      cursor += 2;
-    }
-    return true;
-  };
-  // Replica tail (v3): [n, (pid, machine) × n].
-  std::uint64_t n = 0;
-  if (!u64_field(&n) || !server_list(n, &tail.replicas)) return tail;
-  // Lease tail (v4): [duration, id] — optional even when negotiated, so a
-  // v3 server's replies still parse. Consumed greedily; a tail that was
-  // really something else fails the exact-consumption check below and the
-  // whole parse is discarded, never half-trusted.
-  if (expect_lease && fields - cursor >= 2 &&
-      payload.type_at(cursor) == FieldType::kU64 &&
-      payload.type_at(cursor + 1) == FieldType::kU64) {
-    tail.lease_duration = payload.u64_at(cursor);
-    tail.lease_id = payload.u64_at(cursor + 1);
-    cursor += 2;
-  }
-  // Glue tail (v5): [g, (ctx, shard, r, (pid, machine) × r) × g] —
-  // likewise optional when negotiated (pre-v5 servers send none).
-  if (expect_glue && cursor < fields) {
-    std::uint64_t g = 0;
-    if (!u64_field(&g)) return tail;
-    for (std::uint64_t j = 0; j < g; ++j) {
-      ReplyTail::Glue glue;
-      std::uint64_t r = 0;
-      if (!u64_field(&glue.ctx) || !u64_field(&glue.shard) ||
-          !u64_field(&r) || !server_list(r, &glue.servers)) {
-        tail = ReplyTail();  // discard everything, not half a tail
-        return tail;
-      }
-      tail.glue.push_back(std::move(glue));
-    }
-  }
-  // Strict: every remaining field must have been consumed. Leftovers mean
-  // a layout this parser does not understand — ignore the whole tail, the
-  // same posture every earlier protocol rev took toward newer tails.
-  if (cursor != fields) {
-    tail = ReplyTail();
-    return tail;
-  }
-  tail.valid = true;
-  return tail;
 }
 
 void AuthorityMap::set_home(EntityId ctx, MachineId machine) {
@@ -495,11 +422,7 @@ void NameService::push_invalidations(MachineId machine, EntityId ctx) {
     // itself is the holder's fallback bound.
     Message push;
     push.type = NsWire::kInvalidate;
-    push.payload.reserve(4);
-    push.payload.add_u64(id);
-    push.payload.add_u64(ctx.value());
-    push.payload.add_u64(epoch);
-    push.payload.add_u64(now);
+    push.payload = Invalidate{id, ctx, epoch, now}.encode();
     invalidates_pushed_->inc();
     tracer.record(now, EventKind::kInvalidate, 0, ctx.value(), epoch);
     (void)transport_.send(server->second, record.holder, std::move(push));
@@ -530,31 +453,30 @@ void NameService::close_migration_intake(MachineId target) {
 bool NameService::push_snapshot(EntityId ctx, MachineId to) {
   if (!graph_.is_context_object(ctx)) return false;
   auto replicas = homes_.replicas_of(ctx);
-  if (replicas.empty()) return false;
-  auto origin = servers_.find(replicas.front());
-  if (origin == servers_.end()) return false;
-  auto origin_loc = net_.location_of(origin->second);
-  if (!origin_loc.is_ok()) return false;
-  auto target = servers_.find(to);
-  if (target == servers_.end()) return false;
-  auto target_loc = net_.location_of(target->second);
-  if (!target_loc.is_ok()) return false;
-  // Same full-snapshot layout as publish_update — the receiver cannot
-  // tell a migration copy from a replication push, which is the point:
+  // The same snapshot frame as publish_update — the receiver cannot tell
+  // a migration copy from a replication push, which is the point:
   // apply-if-newer makes loss and reordering harmless either way.
+  return !replicas.empty() &&
+         send_snapshot(ctx, replicas.front(), to, migration_pushes_);
+}
+
+bool NameService::send_snapshot(EntityId ctx, MachineId from, MachineId to,
+                                Counter* sent) {
+  auto origin = servers_.find(from);
+  auto target = servers_.find(to);
+  if (origin == servers_.end() || target == servers_.end()) return false;
+  auto origin_loc = net_.location_of(origin->second);
+  auto target_loc = net_.location_of(target->second);
+  if (!origin_loc.is_ok() || !target_loc.is_ok()) return false;
+  // Full snapshots rather than deltas keep the apply idempotent: any newer
+  // snapshot supersedes the store wholesale, so loss and reordering can
+  // delay convergence but never corrupt it.
   const std::uint64_t epoch = graph_.rebind_epoch(ctx);
-  const auto bindings = graph_.context(ctx).bindings();
   Message push;
   push.type = NsWire::kUpdatePush;
-  push.payload.reserve(3 + 2 * bindings.size());
-  push.payload.add_u64(ctx.value());
-  push.payload.add_u64(epoch);
-  push.payload.add_u64(bindings.size());
-  for (const Binding& b : bindings) {
-    push.payload.add_name(b.name.text());
-    push.payload.add_u64(b.entity.value());
-  }
-  migration_pushes_->inc();
+  push.payload =
+      UpdatePush::encode(ctx, epoch, graph_.context(ctx).bindings());
+  sent->inc();
   transport_.tracer().record(transport_.simulator().now(),
                              EventKind::kUpdatePush, 0, ctx.value(), epoch);
   return transport_
@@ -728,10 +650,7 @@ void NameService::publish_update(EntityId ctx) {
     ae_dirty_.insert(ctx);
     return;
   }
-  auto primary_loc = net_.location_of(primary->second);
   const std::uint64_t epoch = graph_.rebind_epoch(ctx);
-  const auto bindings = graph_.context(ctx).bindings();
-  Tracer& tracer = transport_.tracer();
   bool lagging = false;
   for (std::size_t i = 1; i < replicas.size(); ++i) {
     // Epoch gate (the snapshot-storm fix): a secondary whose applied
@@ -744,31 +663,7 @@ void NameService::publish_update(EntityId ctx) {
       continue;
     }
     lagging = true;
-    auto secondary = servers_.find(replicas[i]);
-    if (secondary == servers_.end()) continue;
-    auto secondary_loc = net_.location_of(secondary->second);
-    if (!secondary_loc.is_ok()) continue;
-    // Full-snapshot push: [ctx, epoch, n, (name, target) × n]. Snapshots
-    // rather than deltas keep the apply idempotent — any newer snapshot
-    // supersedes the store wholesale, so loss and reordering can delay
-    // convergence but never corrupt it.
-    Message push;
-    push.type = NsWire::kUpdatePush;
-    push.payload.reserve(3 + 2 * bindings.size());
-    push.payload.add_u64(ctx.value());
-    push.payload.add_u64(epoch);
-    push.payload.add_u64(bindings.size());
-    for (const Binding& b : bindings) {
-      push.payload.add_name(b.name.text());
-      push.payload.add_u64(b.entity.value());
-    }
-    update_pushes_->inc();
-    tracer.record(transport_.simulator().now(), EventKind::kUpdatePush, 0,
-                  ctx.value(), epoch);
-    (void)transport_.send(
-        primary->second,
-        relativize(secondary_loc.value(), primary_loc.value()),
-        std::move(push));
+    (void)send_snapshot(ctx, replicas.front(), replicas[i], update_pushes_);
   }
   // Dirty while any secondary lags (it may need a re-push: the snapshot
   // just sent rides the same lossy network as everything else); clean the
@@ -848,15 +743,12 @@ bool NameService::note_duplicate(std::uint64_t corr) {
 }
 
 void NameService::handle_update(EndpointId self, const Message& message) {
-  const Payload& p = message.payload;
-  if (p.size() < 3 || p.type_at(0) != FieldType::kU64 ||
-      p.type_at(1) != FieldType::kU64 || p.type_at(2) != FieldType::kU64) {
-    return;  // malformed
-  }
-  EntityId ctx(p.u64_at(0));
-  const std::uint64_t epoch = p.u64_at(1);
-  const std::uint64_t n = p.u64_at(2);
-  if (n > (p.size() - 3) / 2 || p.size() != 3 + 2 * n) return;
+  // The header first: a stale or stray snapshot is dropped before any of
+  // its names is interned.
+  const auto header = UpdatePush::decode_header(message.payload);
+  if (!header) return;  // malformed
+  const EntityId ctx = header->ctx;
+  const std::uint64_t epoch = header->epoch;
   auto my_machine = net_.machine_of(self);
   if (!my_machine.is_ok()) return;
   // Only a secondary for this context applies pushes — or a migration
@@ -881,20 +773,9 @@ void NameService::handle_update(EndpointId self, const Message& message) {
     tracer.record(now, EventKind::kUpdateStale, 0, ctx.value(), epoch);
     return;
   }
-  ReplicaState state;
-  state.epoch = epoch;
-  state.bindings.reserve(n);
-  for (std::uint64_t j = 0; j < n; ++j) {
-    if (p.type_at(3 + 2 * j) != FieldType::kName ||
-        p.type_at(4 + 2 * j) != FieldType::kU64) {
-      return;  // malformed: apply nothing rather than half a snapshot
-    }
-    auto name = Name::make(p.name_at(3 + 2 * j));
-    if (!name.is_ok()) return;
-    state.bindings.push_back(
-        Binding{name.value(), EntityId(p.u64_at(4 + 2 * j))});
-  }
-  store[ctx] = std::move(state);
+  auto push = UpdatePush::decode(message.payload);
+  if (!push) return;  // malformed: apply nothing rather than half a snapshot
+  store[ctx] = ReplicaState{epoch, std::move(push->bindings)};
   updates_applied_->inc();
   tracer.record(now, EventKind::kUpdateApply, 0, ctx.value(), epoch);
   // A secondary's lease state (if it ever granted any) is superseded by
@@ -906,23 +787,11 @@ void NameService::handle_update(EndpointId self, const Message& message) {
 }
 
 void NameService::handle_request(EndpointId self, const Message& message) {
-  if (message.type != NsWire::kResolveRequest ||
-      message.payload.size() < 3 ||
-      message.payload.type_at(0) != FieldType::kU64 ||
-      message.payload.type_at(1) != FieldType::kU64 ||
-      message.payload.type_at(2) != FieldType::kName) {
-    return;  // not ours / malformed
-  }
-  const std::uint64_t corr = message.payload.u64_at(0);
-  EntityId ctx(message.payload.u64_at(1));
-  const std::string& path = message.payload.name_at(2);
-  // Optional request flags (protocol v4). A v3 request stops at field 2;
-  // an unrecognised extra field is ignored, not rejected.
-  std::uint64_t flags = 0;
-  if (message.payload.size() > 3 &&
-      message.payload.type_at(3) == FieldType::kU64) {
-    flags = message.payload.u64_at(3);
-  }
+  if (message.type != NsWire::kResolveRequest) return;  // not ours
+  const auto request = ResolveRequest::decode(message.payload);
+  if (!request) return;  // malformed: no reply, the sender's timeout runs
+  const std::uint64_t corr = request->corr;
+  EntityId ctx = request->start;
 
   Tracer& tracer = transport_.tracer();
   const SimTime now = transport_.simulator().now();
@@ -956,18 +825,27 @@ void NameService::handle_request(EndpointId self, const Message& message) {
     if (slot != kNoSlot) subtree_hits_[slot]->inc();
   }
 
-  // Reply layout (protocol v3): the fixed v2 prefix [corr, disposition,
-  // entity, remaining, error, next-server pid, authority-ctx, epoch]
-  // followed by the authority's replica list [n, (server pid, machine) × n]
-  // so clients can fail over without out-of-band topology knowledge. All
-  // pids are in *this server's* context; the transport rebases them into
-  // the receiver's context in flight (R(sender)). `authority` is the
-  // context whose bindings the reply depends on; the epoch stamped is the
-  // graph's current rebind epoch, or — when a secondary answered from its
-  // replica store — the *snapshot's* epoch, so staleness is visible.
+  // Every pid in the reply is in *this server's* context; the transport
+  // rebases them into the receiver's context in flight (R(sender)).
+  auto live_servers = [&](std::span<const MachineId> machines) {
+    std::vector<WireServer> out;
+    out.reserve(machines.size());
+    for (MachineId m : machines) {
+      auto sit = servers_.find(m);
+      if (sit == servers_.end()) continue;
+      auto loc = net_.location_of(sit->second);
+      if (!loc.is_ok()) continue;
+      out.push_back(WireServer{relativize(loc.value(), my_loc.value()), m});
+    }
+    return out;
+  };
+  // `authority` is the context whose bindings the reply depends on, stamped
+  // with its rebind epoch — the *snapshot's* when a secondary answered from
+  // its replica store, so staleness is visible — and its live replica
+  // servers, primary first, so clients can fail over.
   auto send_reply = [&](std::uint64_t disposition, EntityId entity,
-                        std::string remaining, std::string error,
-                        Pid next_server, EntityId authority,
+                        std::string_view remaining, std::string_view error,
+                        EntityId authority,
                         std::optional<std::uint64_t> epoch_override =
                             std::nullopt) {
     const EventKind kind = disposition == NsWire::kAnswer
@@ -977,111 +855,56 @@ void NameService::handle_request(EndpointId self, const Message& message) {
                                      : EventKind::kServerError;
     tracer.record(transport_.simulator().now(), kind, corr, self.value(),
                   entity.valid() ? entity.value() : 0);
-    const bool stamp =
-        authority.valid() && graph_.is_context_object(authority);
-    std::vector<std::pair<Pid, std::uint64_t>> tail;
-    if (stamp) {
-      for (MachineId m : homes_.replicas_of(authority)) {
-        auto sit = servers_.find(m);
-        if (sit == servers_.end()) continue;
-        auto loc = net_.location_of(sit->second);
-        if (!loc.is_ok()) continue;
-        tail.emplace_back(relativize(loc.value(), my_loc.value()),
-                          m.value());
+    ResolveReply frame{.corr = corr, .disposition = disposition,
+                       .entity = entity, .remaining = remaining,
+                       .error = error};
+    if (authority.valid() && graph_.is_context_object(authority)) {
+      frame.authority = authority;
+      frame.epoch = epoch_override ? *epoch_override
+                                   : graph_.rebind_epoch(authority);
+      frame.replicas = live_servers(homes_.replicas_of(authority));
+      // Only the primary grants a lease — it is where invalidations
+      // originate, so a secondary's promise could never be kept. Referrals
+      // carry no binding to promise about.
+      if ((request->flags & NsWire::kFlagLeaseRequested) != 0 &&
+          disposition != NsWire::kReferral &&
+          homes_.is_primary(authority, my_machine.value())) {
+        std::tie(frame.lease_duration, frame.lease_id) =
+            grant_lease(my_machine.value(), authority, message.reply_to,
+                        frame.epoch, corr);
+      }
+      // Glue (docs/SHARDING.md): a referral into a delegated shard carries
+      // the delegate's replica set, saving the client a topology lookup.
+      if ((request->flags & NsWire::kFlagShardGlue) != 0 &&
+          disposition == NsWire::kReferral) {
+        // An unowned context (kNoShard) has no shard replicas: no glue.
+        const ShardId shard = homes_.shard_of(authority);
+        auto servers = live_servers(homes_.shard_replicas(shard));
+        if (!servers.empty()) {
+          frame.glue.push_back(
+              ResolveReply::Glue{authority, shard, std::move(servers)});
+        }
       }
     }
     Message reply;
     reply.type = NsWire::kResolveReply;
     reply.trace_corr = corr;
-    // Nine fixed fields, the replica tail, the lease pair and the glue
-    // flag: one allocation for every reply but a glue-carrying referral.
-    reply.payload.reserve(9 + 2 * tail.size() + 3);
-    reply.payload.add_u64(corr);
-    reply.payload.add_u64(disposition);
-    reply.payload.add_u64(entity.valid() ? entity.value() : NsWire::kNoEntity);
-    reply.payload.add_name(std::move(remaining));
-    reply.payload.add_string(std::move(error));
-    reply.payload.add_pid(next_server);
-    reply.payload.add_u64(stamp ? authority.value() : NsWire::kNoEntity);
-    reply.payload.add_u64(stamp ? (epoch_override
-                                       ? *epoch_override
-                                       : graph_.rebind_epoch(authority))
-                                : 0);
-    reply.payload.add_u64(tail.size());
-    for (auto& [pid, machine] : tail) {
-      reply.payload.add_pid(pid);
-      reply.payload.add_u64(machine);
-    }
-    // Protocol v4 lease tail, appended only when the client asked for a
-    // lease (a v3 client's replies stay byte-identical). Only the primary
-    // grants — it is where invalidations originate, so a secondary's
-    // promise could never be kept. Referrals carry no binding to promise
-    // about; they (and non-grants) ship the [0, 0] sentinel.
-    if ((flags & NsWire::kFlagLeaseRequested) != 0) {
-      std::uint64_t lease_duration = 0;
-      std::uint64_t lease_id = 0;
-      if (stamp && disposition != NsWire::kReferral &&
-          homes_.is_primary(authority, my_machine.value())) {
-        const auto granted = grant_lease(
-            my_machine.value(), authority, message.reply_to,
-            epoch_override ? *epoch_override : graph_.rebind_epoch(authority),
-            corr);
-        lease_duration = granted.first;
-        lease_id = granted.second;
-      }
-      reply.payload.add_u64(lease_duration);
-      reply.payload.add_u64(lease_id);
-    }
-    // Protocol v5 glue tail (docs/SHARDING.md), appended only when the
-    // client negotiated it: [g, (ctx, shard, r, (pid, machine) × r) × g].
-    // A referral that crosses into a delegated shard carries the
-    // delegate's replica set, so the client reaches the owning shard in
-    // the next hop without a second round trip for topology.
-    if ((flags & NsWire::kFlagShardGlue) != 0) {
-      std::vector<std::pair<Pid, std::uint64_t>> glue_servers;
-      ShardId glue_shard = AuthorityMap::kNoShard;
-      if (disposition == NsWire::kReferral && stamp) {
-        glue_shard = homes_.shard_of(authority);
-        if (glue_shard != AuthorityMap::kNoShard) {
-          for (MachineId m : homes_.shard_replicas(glue_shard)) {
-            auto sit = servers_.find(m);
-            if (sit == servers_.end()) continue;
-            auto loc = net_.location_of(sit->second);
-            if (!loc.is_ok()) continue;
-            glue_servers.emplace_back(
-                relativize(loc.value(), my_loc.value()), m.value());
-          }
-        }
-      }
-      const bool have_glue =
-          glue_shard != AuthorityMap::kNoShard && !glue_servers.empty();
-      reply.payload.add_u64(have_glue ? 1 : 0);
-      if (have_glue) {
-        reply.payload.add_u64(authority.value());
-        reply.payload.add_u64(glue_shard);
-        reply.payload.add_u64(glue_servers.size());
-        for (auto& [pid, machine] : glue_servers) {
-          reply.payload.add_pid(pid);
-          reply.payload.add_u64(machine);
-        }
-      }
-    }
+    reply.payload = frame.encode();
     (void)transport_.send(self, message.reply_to, std::move(reply));
   };
   auto send_error = [&](std::string error, EntityId authority = {},
                         std::optional<std::uint64_t> epoch_override =
                             std::nullopt) {
     count(failures_);
-    send_reply(NsWire::kError, {}, "", std::move(error), Pid::self(),
-               authority, epoch_override);
+    send_reply(NsWire::kError, {}, "", error, authority, epoch_override);
   };
 
   std::optional<CompoundName> parsed;
   NameSlice components;
-  if (!path.empty()) {
+  if (!request->path.empty()) {
     // Decode = intern: the text entered this node here; from now on the
     // walk is all atom compares.
-    auto result = message.payload.compound_at(2);
+    auto result = CompoundName::parse_relative(request->path);
     if (!result.is_ok()) {
       send_error(result.status().to_string());
       return;
@@ -1100,25 +923,26 @@ void NameService::handle_request(EndpointId self, const Message& message) {
       return;
     }
     count(answers_);
-    send_reply(NsWire::kAnswer, ctx, "", "", Pid::self(), ctx);
+    send_reply(NsWire::kAnswer, ctx, "", "", ctx);
     return;
   }
 
-  // Refer the client to the primary for `ctx` at component `i`.
+  // Refer the client to the primary for `ctx` at component `i`. The
+  // referral's target is its replica list's first entry, so the primary
+  // must have a live server before any referral goes out.
   auto refer_to_primary = [&](MachineId primary, std::size_t i) {
-    auto next_server = server_on(primary);
-    if (!next_server.is_ok()) {
+    auto primary_server = server_on(primary);
+    if (!primary_server.is_ok()) {
       send_error("authoritative machine has no name server");
       return;
     }
-    auto next_loc = net_.location_of(next_server.value());
-    if (!next_loc.is_ok()) {
+    if (!net_.location_of(primary_server.value()).is_ok()) {
       send_error("authoritative server endpoint is dead");
       return;
     }
     count(referrals_);
     send_reply(NsWire::kReferral, ctx, components.subslice(i).joined(), "",
-               relativize(next_loc.value(), my_loc.value()), ctx);
+               ctx);
   };
 
   // Walk while the current context is replicated here; refer onward
@@ -1139,7 +963,7 @@ void NameService::handle_request(EndpointId self, const Message& message) {
       // Forwarding window (docs/REBALANCING.md): this server owned `ctx`
       // until a recent cutover. The referral below already points at the
       // new owner (the shared authority map was rewritten at cutover, and
-      // v5 glue rides along) — the tombstone just makes the window
+      // glue rides along) — the tombstone just makes the window
       // observable and bounded.
       auto held = forwarding_.find(my_machine.value());
       if (held != forwarding_.end()) {
@@ -1204,8 +1028,7 @@ void NameService::handle_request(EndpointId self, const Message& message) {
         tracer.record(transport_.simulator().now(), EventKind::kStoreAnswer,
                       corr, ctx.value(), *store_epoch);
       }
-      send_reply(NsWire::kAnswer, next.value(), "", "", Pid::self(), ctx,
-                 store_epoch);
+      send_reply(NsWire::kAnswer, next.value(), "", "", ctx, store_epoch);
       return;
     }
     ctx = next.value();
@@ -1395,7 +1218,6 @@ void ResolverClient::note_epoch(EntityId authority, std::uint64_t epoch) {
 }
 
 bool ResolverClient::is_suspect(MachineId machine) const {
-  if (!machine.valid()) return false;
   auto it = suspect_until_.find(machine);
   return it != suspect_until_.end() && it->second > sim_.now();
 }
@@ -1410,7 +1232,7 @@ std::vector<ResolverClient::ReplicaRef> ResolverClient::candidates_for(
   if (!my_loc.is_ok()) return {via};
   std::vector<ReplicaRef> authoritative;
   for (MachineId m : service_.authorities().replicas_of(ctx)) {
-    if (via.machine.valid() && m == via.machine) continue;
+    if (m == via.machine) continue;
     auto server = service_.server_on(m);
     if (!server.is_ok()) continue;
     auto loc = net_.location_of(server.value());
@@ -1482,18 +1304,6 @@ bool ResolverClient::heal_target(PendingResolve& p) {
   ReplicaRef& target = p.candidates[p.order[p.candidate]];
   auto my_loc = net_.location_of(endpoint_);
   if (!my_loc.is_ok()) return false;
-  if (!target.machine.valid()) {
-    // A machine-less route (a v2 referral target): the pid may be the old
-    // address of a renamed machine — consult the rename tombstones while
-    // their window is open.
-    auto addressed = qualify(target.pid, my_loc.value());
-    if (addressed.is_ok()) {
-      if (auto renamed = membership_->renamed_machine_at(addressed.value())) {
-        target.machine = *renamed;  // falls through to the rename check
-      }
-    }
-  }
-  if (!target.machine.valid()) return false;
   const MemberState state = membership_->state(target.machine);
   if (state == MemberState::kDown) {
     // The machine left the fabric: skip it without burning the timeout
@@ -1639,16 +1449,11 @@ void ResolverClient::send_attempt(PendingResolve& p) {
     tracer.record_in_span(p.owner_span, sim_.now(), EventKind::kBackoffRetry,
                           p.attempt, p.timeout);
   }
-  request.payload.reserve(4);
-  request.payload.add_u64(p.expected_corr);
-  request.payload.add_u64(p.current.value());
-  request.payload.add_name(p.hop_text);
-  // Protocol v4/v5 flags field, only when some extension is on — a
-  // plain client's requests stay byte-identical to v3.
   std::uint64_t flags = 0;
   if (config_.lease_coherence) flags |= NsWire::kFlagLeaseRequested;
   if (config_.shard_routing) flags |= NsWire::kFlagShardGlue;
-  if (flags != 0) request.payload.add_u64(flags);
+  request.payload =
+      ResolveRequest{p.expected_corr, p.current, p.hop_text, flags}.encode();
   corr_to_request_[p.expected_corr] = p.id;
   messages_sent_->inc();
   Status sent = transport_.send(endpoint_, target.pid, std::move(request));
@@ -1711,9 +1516,7 @@ void ResolverClient::on_timeout(std::uint64_t id) {
 
 void ResolverClient::fail_candidate(PendingResolve& p, Status error) {
   const ReplicaRef& prev = p.candidates[p.order[p.candidate]];
-  if (prev.machine.valid()) {
-    suspect_until_[prev.machine] = sim_.now() + config_.replica_quarantine;
-  }
+  suspect_until_[prev.machine] = sim_.now() + config_.replica_quarantine;
   p.last_error = std::move(error);
   if (p.candidate + 1 < p.order.size()) {
     // The candidate exhausted its whole backoff budget: fail over.
@@ -1722,9 +1525,8 @@ void ResolverClient::fail_candidate(PendingResolve& p, Status error) {
     failovers_->inc();
     const ReplicaRef& next = p.candidates[p.order[p.candidate]];
     transport_.tracer().record_in_span(
-        p.owner_span, sim_.now(), EventKind::kFailover,
-        prev.machine.valid() ? prev.machine.value() : 0,
-        next.machine.valid() ? next.machine.value() : 0);
+        p.owner_span, sim_.now(), EventKind::kFailover, prev.machine.value(),
+        next.machine.value());
     begin_candidate(p);
     return;
   }
@@ -1732,27 +1534,17 @@ void ResolverClient::fail_candidate(PendingResolve& p, Status error) {
 }
 
 void ResolverClient::handle_reply(const Message& message) {
-  const Payload& payload = message.payload;
-  if (message.type != NsWire::kResolveReply || payload.size() < 8 ||
-      payload.type_at(0) != FieldType::kU64 ||
-      payload.type_at(1) != FieldType::kU64 ||
-      payload.type_at(2) != FieldType::kU64 ||
-      payload.type_at(3) != FieldType::kName ||
-      payload.type_at(4) != FieldType::kString ||
-      payload.type_at(5) != FieldType::kPid ||
-      payload.type_at(6) != FieldType::kU64 ||
-      payload.type_at(7) != FieldType::kU64) {
-    return;
-  }
-  const std::uint64_t corr = payload.u64_at(0);
-  auto route = corr_to_request_.find(corr);
+  // A malformed reply is ignored whole; the attempt's timeout runs.
+  const auto reply = ResolveReply::decode(message.payload);
+  if (!reply) return;
+  auto route = corr_to_request_.find(reply->corr);
   if (route == corr_to_request_.end()) {
     // A delayed duplicate from an earlier attempt or referral hop (or a
     // reply when nothing is outstanding). Accepting it would resolve the
     // wrong question — possibly someone else's.
     stale_replies_dropped_->inc();
     transport_.tracer().record(sim_.now(), EventKind::kStaleReplyDropped,
-                               corr, endpoint_.value());
+                               reply->corr, endpoint_.value());
     return;
   }
   auto it = requests_.find(route->second);
@@ -1765,51 +1557,13 @@ void ResolverClient::handle_reply(const Message& message) {
     sim_.cancel(p.timeout_event);
     p.timeout_event = EventId();
   }
-  Reply reply;
-  reply.disposition = payload.u64_at(1);
-  std::uint64_t raw = payload.u64_at(2);
-  reply.entity =
-      raw == NsWire::kNoEntity ? EntityId::invalid() : EntityId(raw);
-  reply.remaining = payload.name_at(3);
-  reply.error = payload.string_at(4);
-  reply.next_server = payload.pid_at(5);
-  std::uint64_t auth = payload.u64_at(6);
-  reply.authority =
-      auth == NsWire::kNoEntity ? EntityId::invalid() : EntityId(auth);
-  reply.epoch = payload.u64_at(7);
-  // Protocol v3/v4/v5 tails: replica set, lease pair, glue records — in
-  // that order, each present only as negotiated. A v2 peer stops at field
-  // 8; a malformed tail is ignored wholesale rather than trusted.
-  const ReplyTail tail = parse_reply_tail(payload, 8, config_.lease_coherence,
-                                          config_.shard_routing);
-  if (tail.valid) {
-    reply.replicas.reserve(tail.replicas.size());
-    for (const ReplyTail::Server& server : tail.replicas) {
-      const MachineId machine = server.machine == NsWire::kNoMachine
-                                    ? MachineId::invalid()
-                                    : MachineId(server.machine);
-      reply.replicas.push_back(
-          ReplicaRef{server.pid, machine, member_incarnation(machine)});
-    }
-    reply.lease_duration = tail.lease_duration;
-    reply.lease_id = tail.lease_id;
-    reply.glue = tail.glue;
-  }
-  on_reply(p, reply);
+  on_reply(p, *reply);
 }
 
 void ResolverClient::handle_invalidate(const Message& message) {
-  const Payload& payload = message.payload;
-  if (payload.size() != 4 || payload.type_at(0) != FieldType::kU64 ||
-      payload.type_at(1) != FieldType::kU64 ||
-      payload.type_at(2) != FieldType::kU64 ||
-      payload.type_at(3) != FieldType::kU64) {
-    return;  // malformed
-  }
-  const std::uint64_t lease_id = payload.u64_at(0);
-  EntityId ctx(payload.u64_at(1));
-  const std::uint64_t epoch = payload.u64_at(2);
-  const SimTime rebound_at = payload.u64_at(3);
+  const auto push = Invalidate::decode(message.payload);
+  if (!push) return;  // malformed
+  const auto& [lease_id, ctx, epoch, rebound_at] = *push;
   invalidates_received_->inc();
   transport_.tracer().record(sim_.now(), EventKind::kInvalidate, 0,
                              ctx.value(), epoch);
@@ -1842,10 +1596,9 @@ void ResolverClient::handle_invalidate(const Message& message) {
   }
 }
 
-void ResolverClient::on_reply(PendingResolve& p, const Reply& reply) {
+void ResolverClient::on_reply(PendingResolve& p, const ResolveReply& reply) {
   Tracer& tracer = transport_.tracer();
-  const ReplicaRef& target = p.candidates[p.order[p.candidate]];
-  if (target.machine.valid()) suspect_until_.erase(target.machine);
+  suspect_until_.erase(p.candidates[p.order[p.candidate]].machine);
   if (p.failed_over) {
     failover_latency_->add(static_cast<double>(sim_.now() - p.hop_begin));
   }
@@ -1853,35 +1606,31 @@ void ResolverClient::on_reply(PendingResolve& p, const Reply& reply) {
   // the high-water mark so superseded cache entries die on next lookup.
   note_epoch(reply.authority, reply.epoch);
   ++p.hops_done;
+  // An answer (or, negative, an error) cached for `ttl` ticks, 0 = not at
+  // all, under the lease the reply carried.
+  auto cache_reply = [&](SimDuration ttl, bool negative) {
+    if (ttl == 0) return;
+    CacheEntry entry{.entity = negative ? EntityId::invalid() : reply.entity,
+                     .expires = sim_.now() + ttl,
+                     .authority = reply.authority,
+                     .epoch = reply.epoch,
+                     .negative = negative,
+                     .error = negative ? std::string(reply.error) : ""};
+    if (reply.lease_id != 0) {
+      entry.lease_id = reply.lease_id;
+      entry.lease_duration = reply.lease_duration;
+      entry.lease_expires = sim_.now() + reply.lease_duration;
+    }
+    cache_insert(p.key, std::move(entry));
+  };
   switch (reply.disposition) {
     case NsWire::kAnswer:
-      if (config_.cache_ttl > 0) {
-        CacheEntry entry{reply.entity, sim_.now() + config_.cache_ttl,
-                         reply.authority, reply.epoch,
-                         /*negative=*/false, ""};
-        if (reply.lease_id != 0) {
-          entry.lease_id = reply.lease_id;
-          entry.lease_duration = reply.lease_duration;
-          entry.lease_expires = sim_.now() + reply.lease_duration;
-        }
-        cache_insert(p.key, std::move(entry));
-      }
+      cache_reply(config_.cache_ttl, /*negative=*/false);
       complete(p, reply.entity);
       return;
     case NsWire::kError:
-      if (config_.negative_cache_ttl > 0) {
-        CacheEntry entry{EntityId::invalid(),
-                         sim_.now() + config_.negative_cache_ttl,
-                         reply.authority, reply.epoch,
-                         /*negative=*/true, reply.error};
-        if (reply.lease_id != 0) {
-          entry.lease_id = reply.lease_id;
-          entry.lease_duration = reply.lease_duration;
-          entry.lease_expires = sim_.now() + reply.lease_duration;
-        }
-        cache_insert(p.key, std::move(entry));
-      }
-      complete(p, not_found_error(reply.error));
+      cache_reply(config_.negative_cache_ttl, /*negative=*/true);
+      complete(p, not_found_error(std::string(reply.error)));
       return;
     case NsWire::kReferral: {
       auto suffix = referral_suffix(p.remaining, reply.remaining);
@@ -1890,7 +1639,7 @@ void ResolverClient::on_reply(PendingResolve& p, const Reply& reply) {
         // what we asked it to resolve. Forwarding it would resolve a name
         // the caller never named; fail instead.
         complete(p, internal_error("referral remaining path '" +
-                                   reply.remaining +
+                                   std::string(reply.remaining) +
                                    "' is not a suffix of the request"));
         return;
       }
@@ -1898,30 +1647,24 @@ void ResolverClient::on_reply(PendingResolve& p, const Reply& reply) {
       tracer.record_in_span(p.owner_span, sim_.now(),
                             EventKind::kReferralFollowed,
                             reply.entity.valid() ? reply.entity.value() : 0);
-      // Glue records (protocol v5): learn every delegation boundary and
+      // Glue records: learn every delegation boundary and
       // delegate replica set the server volunteered — the chase's next
       // hop, and every later lookup into the same shard, starts with the
       // owning shard's servers instead of a blind referral target.
       if (!reply.glue.empty()) {
         delegations_chased_->inc();
-        for (const ReplyTail::Glue& glue : reply.glue) {
+        for (const ResolveReply::Glue& glue : reply.glue) {
           tracer.record_in_span(p.owner_span, sim_.now(),
-                                EventKind::kDelegationChase, glue.ctx,
+                                EventKind::kDelegationChase, glue.ctx.value(),
                                 glue.shard);
-          if (glue.ctx != NsWire::kNoEntity) {
-            ctx_shards_[EntityId(glue.ctx)] = glue.shard;
-          }
+          if (glue.ctx.valid()) ctx_shards_[glue.ctx] = glue.shard;
           if (glue.shard == NsWire::kNoShard || glue.servers.empty()) {
             continue;
           }
           auto& route = shard_routes_[glue.shard];
           route.clear();
-          for (const ReplyTail::Server& server : glue.servers) {
-            const MachineId m = server.machine == NsWire::kNoMachine
-                                    ? MachineId::invalid()
-                                    : MachineId(server.machine);
-            route.push_back(
-                ReplicaRef{server.pid, m, member_incarnation(m)});
+          for (const WireServer& server : glue.servers) {
+            route.push_back(ref_to(server));
           }
         }
       }
@@ -1930,9 +1673,8 @@ void ResolverClient::on_reply(PendingResolve& p, const Reply& reply) {
       p.hop_text = p.remaining.joined();
       // The next hop's candidates: a glue-learned shard route when the
       // referred context's owning shard is known, else the referred-to
-      // context's replica set from the reply tail (pids already rebased
-      // by the transport); a v2 peer sends no tail, leaving the single
-      // referral target.
+      // context's replica set from the reply, primary first (pids already
+      // rebased by the transport).
       std::uint64_t next_shard = NsWire::kNoShard;
       if (config_.shard_routing && reply.entity.valid()) {
         auto owned = ctx_shards_.find(reply.entity);
@@ -1948,11 +1690,9 @@ void ResolverClient::on_reply(PendingResolve& p, const Reply& reply) {
         }
       }
       if (!routed_by_glue) {
-        if (!reply.replicas.empty()) {
-          p.candidates.assign(reply.replicas.begin(), reply.replicas.end());
-        } else {
-          p.candidates.assign(
-              1, ReplicaRef{reply.next_server, MachineId::invalid()});
+        p.candidates.clear();
+        for (const WireServer& server : reply.replicas) {
+          p.candidates.push_back(ref_to(server));
         }
       }
       if (config_.shard_routing) {

@@ -66,9 +66,7 @@ class NsHardeningTest : public ::testing::Test {
                         std::string path) {
       Message request;
       request.type = NsWire::kResolveRequest;
-      request.payload.add_u64(corr);
-      request.payload.add_u64(start.value());
-      request.payload.add_name(std::move(path));
+      request.payload = ResolveRequest{corr, start, path, 0}.encode();
       return transport_.send(endpoint_, pid_of(server), std::move(request));
     }
 
@@ -171,14 +169,11 @@ TEST_F(NsHardeningTest, StaleReplyRejectedByCorrelationId) {
   WireProbe probe(net_, transport_, m1_);
   Message forged;
   forged.type = NsWire::kResolveReply;
-  forged.payload.add_u64(12345);  // matches no outstanding attempt
-  forged.payload.add_u64(NsWire::kAnswer);
-  forged.payload.add_u64(shared_.value());  // the wrong entity
-  forged.payload.add_name("");
-  forged.payload.add_string("");
-  forged.payload.add_pid(Pid::self());
-  forged.payload.add_u64(NsWire::kNoEntity);
-  forged.payload.add_u64(0);
+  ResolveReply answer;
+  answer.corr = 12345;  // matches no outstanding attempt
+  answer.disposition = NsWire::kAnswer;
+  answer.entity = shared_;  // the wrong entity
+  forged.payload = answer.encode();
   ASSERT_TRUE(
       transport_.send(probe.endpoint_, probe.pid_of(client.endpoint()),
                       std::move(forged))
@@ -456,16 +451,16 @@ TEST_F(NsHardeningTest, RogueReferralRemainingIsRejectedNotForwarded) {
   transport_.set_handler(
       server1_, [this](EndpointId self, const Message& message) {
         if (message.type != NsWire::kResolveRequest) return;
+        const auto request = ResolveRequest::decode(message.payload);
+        ASSERT_TRUE(request.has_value());
+        ResolveReply referral;
+        referral.corr = request->corr;  // echo corr
+        referral.disposition = NsWire::kReferral;
+        referral.entity = request->start;
+        referral.remaining = "evil/detour";
         Message reply;
         reply.type = NsWire::kResolveReply;
-        reply.payload.add_u64(message.payload.u64_at(0));  // echo corr
-        reply.payload.add_u64(NsWire::kReferral);
-        reply.payload.add_u64(message.payload.u64_at(1));
-        reply.payload.add_name(std::string("evil/detour"));
-        reply.payload.add_string("");
-        reply.payload.add_pid(Pid::self());
-        reply.payload.add_u64(NsWire::kNoEntity);
-        reply.payload.add_u64(0);
+        reply.payload = referral.encode();
         (void)transport_.send(self, message.reply_to, std::move(reply));
       });
   ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c");

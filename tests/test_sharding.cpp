@@ -1,9 +1,9 @@
 // Sharded delegation fabric tests (docs/SHARDING.md): AuthorityMap shard
 // registration and subtree delegation (precedence, self-delegation and
-// cycle refusal), consistent-hash placement for flat namespaces, the v5
-// reply-tail codec (glue records, malformed tails, old parsers), glue
-// chases across chained delegations, and lease invalidation after a
-// context migrates across a delegation boundary.
+// cycle refusal), consistent-hash placement for flat namespaces, glue
+// records in the reply frame (decoding, truncation), glue chases across
+// chained delegations, and lease invalidation after a context migrates
+// across a delegation boundary.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -155,21 +155,26 @@ TEST(ShardRingTest, AddShardIsIdempotent) {
   EXPECT_EQ(ring.shard_count(), 1u);
 }
 
-// --- v5 reply-tail codec ------------------------------------------------------
+// --- Glue records in the reply frame -----------------------------------------
 
-TEST(ReplyTailTest, EmptyTailIsValid) {
+/// A referral reply's fields up to and including the lease pair, with the
+/// given replica list: [corr, disposition, entity, remaining, error,
+/// authority, epoch, n, (pid, machine) × n, lease-duration, lease-id].
+Payload referral_head(std::uint64_t replicas) {
   Payload payload;
-  ReplyTail tail = parse_reply_tail(payload, 0, false, false);
-  EXPECT_TRUE(tail.valid);
-  EXPECT_TRUE(tail.replicas.empty());
-  EXPECT_TRUE(tail.glue.empty());
+  payload.add_u64(9).add_u64(NsWire::kReferral).add_u64(42);
+  payload.add_name("c0/f").add_string("").add_u64(42).add_u64(3);
+  payload.add_u64(replicas);
+  for (std::uint64_t r = 0; r < replicas; ++r) {
+    payload.add_pid(Pid{1, 2, 3});
+    payload.add_u64(7 + r);
+  }
+  payload.add_u64(0).add_u64(0);  // no lease
+  return payload;
 }
 
 TEST(ReplyTailTest, GlueRecordsRoundTrip) {
-  Payload payload;
-  payload.add_u64(1);  // replica tail: one server
-  payload.add_pid(Pid{1, 2, 3});
-  payload.add_u64(7);
+  Payload payload = referral_head(1);  // one replica server, machine 7
   payload.add_u64(2);  // two glue records
   for (std::uint64_t g = 0; g < 2; ++g) {
     payload.add_u64(100 + g);  // delegated context
@@ -178,46 +183,27 @@ TEST(ReplyTailTest, GlueRecordsRoundTrip) {
     payload.add_pid(Pid{4, 5, 6});
     payload.add_u64(20 + g);
   }
-  ReplyTail tail = parse_reply_tail(payload, 0, false, true);
-  ASSERT_TRUE(tail.valid);
-  ASSERT_EQ(tail.replicas.size(), 1u);
-  EXPECT_EQ(tail.replicas[0].machine, 7u);
-  ASSERT_EQ(tail.glue.size(), 2u);
-  EXPECT_EQ(tail.glue[0].ctx, 100u);
-  EXPECT_EQ(tail.glue[1].shard, 1u);
-  ASSERT_EQ(tail.glue[1].servers.size(), 1u);
-  EXPECT_EQ(tail.glue[1].servers[0].machine, 21u);
+  const auto reply = ResolveReply::decode(payload);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->replicas.size(), 1u);
+  EXPECT_EQ(reply->replicas[0].machine, MachineId(7));
+  ASSERT_EQ(reply->glue.size(), 2u);
+  EXPECT_EQ(reply->glue[0].ctx, EntityId(100));
+  EXPECT_EQ(reply->glue[1].shard, 1u);
+  ASSERT_EQ(reply->glue[1].servers.size(), 1u);
+  EXPECT_EQ(reply->glue[1].servers[0].machine, MachineId(21));
+  // The codec's own encoder writes exactly this layout.
+  EXPECT_EQ(reply->encode(), payload);
 }
 
 TEST(ReplyTailTest, TruncatedGlueInvalidatesTheWholeTail) {
-  Payload payload;
-  payload.add_u64(0);  // replica tail: none
+  Payload payload = referral_head(0);  // no replica servers
   payload.add_u64(2);  // claims two glue records…
   payload.add_u64(100);
   payload.add_u64(0);
   payload.add_u64(1);  // …but the first record's server list is cut off
-  ReplyTail tail = parse_reply_tail(payload, 0, false, true);
-  EXPECT_FALSE(tail.valid);
-  EXPECT_TRUE(tail.replicas.empty());
-  EXPECT_TRUE(tail.glue.empty());
-}
-
-TEST(ReplyTailTest, OldParserIgnoresAGlueTailItNeverAskedFor) {
-  // A v3-era parser (expect_glue = false) meeting a glue tail must not
-  // half-trust the reply: the strict exact-consumption check discards the
-  // whole tail, replicas included, and the client falls back to the reply's
-  // fixed fields.
-  Payload payload;
-  payload.add_u64(1);
-  payload.add_pid(Pid{1, 2, 3});
-  payload.add_u64(7);
-  payload.add_u64(1);  // glue tail the old parser does not understand
-  payload.add_u64(100);
-  payload.add_u64(0);
-  payload.add_u64(0);
-  ReplyTail tail = parse_reply_tail(payload, 0, false, false);
-  EXPECT_FALSE(tail.valid);
-  EXPECT_TRUE(tail.replicas.empty());
+  // The whole frame is rejected: no replicas, no glue, nothing half-read.
+  EXPECT_FALSE(ResolveReply::decode(payload).has_value());
 }
 
 // --- Glue chases and shard-aware routing --------------------------------------
@@ -288,8 +274,9 @@ TEST_F(ShardedResolutionTest, TwoHopGlueChaseAcrossChainedDelegations) {
 }
 
 TEST_F(ShardedResolutionTest, GlueRoutingIsOffWithoutTheConfigFlag) {
-  // A v3/v4 client resolving the same name: no glue requested, none
-  // parsed, the chase still works through reply.next_server.
+  // A client without shard routing resolving the same name: no glue
+  // requested, none sent, the chase still works through each referral's
+  // replica list.
   ResolverClient client(graph_, net_, transport_, sim_, service_, mclient_,
                         "old");
   auto result = client.resolve(root_, CompoundName::relative("c0/c0/f"));
