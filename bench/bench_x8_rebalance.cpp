@@ -345,7 +345,7 @@ void run_experiment() {
 // --- Microbenchmarks ---------------------------------------------------------
 
 void BM_MigrateSubtree(benchmark::State& state) {
-  // The cutover write alone: reassigning a 585-context subtree's dense
+  // The cutover write alone: reassigning a 73-context subtree's dense
   // shard slots, ping-ponged so every iteration does the same work.
   NamingGraph graph;
   EntityId root = graph.add_context_object("root");
@@ -370,6 +370,52 @@ void BM_MigrateSubtree(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_MigrateSubtree);
+
+void BM_RepeatedHandoff(benchmark::State& state) {
+  // A whole live migration (copy, catch-up probe, cutover, forwarding
+  // window) of BM_MigrateSubtree's subtree, ping-ponged between two
+  // shards with no rebinds. Two warm-up trips fill both machines' replica
+  // stores; from then on every copy reaches a target that already holds
+  // the epoch, which is what a rejoin's handback looks like under churn.
+  NamingGraph graph;
+  EntityId root = graph.add_context_object("root");
+  TreeBuildResult tree = build_context_tree(graph, root, 8, 3);
+  EntityId sub = tree.levels[1][0];
+  auto cluster = ScenarioBuilder(graph)
+                     .shards(2)
+                     .delegate(sub, 1)
+                     .delegate(root, 0)
+                     .client_label("x8")
+                     .build();
+  MigrationDriver driver(graph, cluster->homes(), cluster->service(),
+                         cluster->sim());
+  MigrationOptions opts;
+  opts.copy_batch = 64;
+  opts.copy_interval = 5;
+  opts.settle_delay = 100;
+  opts.forward_window = 1000;
+  ShardId to = 0;
+  auto trip = [&] {
+    NAMECOH_CHECK(driver.start(sub, to, opts).is_ok(),
+                  "bench migration start refused");
+    const MigrationReport& report = driver.run_to_completion();
+    NAMECOH_CHECK(report.phase == MigrationPhase::kDone,
+                  "bench migration did not complete");
+    to = 1 - to;
+    return report.snapshots_pushed;
+  };
+  (void)trip();
+  (void)trip();
+  const std::size_t contexts = driver.report().contexts;
+  std::uint64_t pushed = 0;
+  for (auto _ : state) pushed += trip();
+  const auto migrations = static_cast<double>(state.iterations());
+  state.counters["contexts"] = static_cast<double>(contexts);
+  state.counters["snapshots_per_migration"] =
+      static_cast<double>(pushed) / migrations;
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RepeatedHandoff);
 
 void BM_PlannerPropose(benchmark::State& state) {
   // One planner consult: read 4 shards' load counters, rank 8 candidates.

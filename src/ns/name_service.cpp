@@ -650,15 +650,13 @@ void NameService::publish_update(EntityId ctx) {
     ae_dirty_.insert(ctx);
     return;
   }
-  const std::uint64_t epoch = graph_.rebind_epoch(ctx);
   bool lagging = false;
   for (std::size_t i = 1; i < replicas.size(); ++i) {
     // Epoch gate (the snapshot-storm fix): a secondary whose applied
     // epoch already matches the primary's has the current snapshot —
     // re-pushing it is pure waste, O(contexts × replicas × bindings) of
     // it under the old per-tick full sweep.
-    auto applied = replica_epoch(replicas[i], ctx);
-    if (applied && *applied >= epoch) {
+    if (replica_current(replicas[i], ctx)) {
       pushes_suppressed_->inc();
       continue;
     }
@@ -714,11 +712,9 @@ void NameService::anti_entropy_tick(std::uint64_t gen) {
 
 void NameService::maybe_clean(EntityId ctx) {
   if (!ae_dirty_.contains(ctx)) return;
-  const std::uint64_t epoch = graph_.rebind_epoch(ctx);
   auto replicas = homes_.replicas_of(ctx);
   for (std::size_t i = 1; i < replicas.size(); ++i) {
-    auto applied = replica_epoch(replicas[i], ctx);
-    if (!applied || *applied < epoch) return;
+    if (!replica_current(replicas[i], ctx)) return;
   }
   ae_dirty_.erase(ctx);
 }
@@ -730,6 +726,11 @@ std::optional<std::uint64_t> NameService::replica_epoch(MachineId machine,
   auto it = store->second.find(ctx);
   if (it == store->second.end()) return std::nullopt;
   return it->second.epoch;
+}
+
+bool NameService::replica_current(MachineId machine, EntityId ctx) const {
+  auto applied = replica_epoch(machine, ctx);
+  return applied && *applied >= graph_.rebind_epoch(ctx);
 }
 
 bool NameService::note_duplicate(std::uint64_t corr) {

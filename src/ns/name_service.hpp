@@ -263,6 +263,12 @@ class NameService {
   /// assertions (tests, bench_x4_failover).
   [[nodiscard]] std::optional<std::uint64_t> replica_epoch(
       MachineId machine, EntityId ctx) const;
+  /// True when `machine`'s replica store already holds `ctx` at (or past)
+  /// the graph's rebind epoch, so any snapshot of it would be dropped as
+  /// stale on arrival. Exact, not a guess: every bind/unbind bumps the
+  /// epoch and stores only move forward. The one gate shared by
+  /// replication (publish_update) and migration copy/catch-up.
+  [[nodiscard]] bool replica_current(MachineId machine, EntityId ctx) const;
 
   /// Lease policy (docs/COHERENCE.md): `duration` is the term granted to
   /// clients that request one (0 disables granting); `capacity` bounds the

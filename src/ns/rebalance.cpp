@@ -22,6 +22,7 @@ MigrationDriver::MigrationDriver(const NamingGraph& graph, AuthorityMap& homes,
     : graph_(graph), homes_(homes), service_(service), sim_(sim) {
   MetricsRegistry& metrics = service_.metrics();
   snapshots_pushed_ = &metrics.counter("ns.rebalance.snapshots_pushed");
+  snapshots_skipped_ = &metrics.counter("ns.rebalance.snapshots_skipped");
   catchup_rounds_ = &metrics.counter("ns.rebalance.catchup_rounds");
   completed_ = &metrics.counter("ns.rebalance.migrations_completed");
   aborted_ = &metrics.counter("ns.rebalance.migrations_aborted");
@@ -76,6 +77,14 @@ Status MigrationDriver::start(EntityId root, ShardId to,
 
 void MigrationDriver::push_to_targets(EntityId ctx) {
   for (MachineId m : targets_) {
+    // A target that already holds this epoch (a rejoin getting its old
+    // share back, the return leg of a ping-pong) would drop the copy as
+    // stale on arrival; skipping it sends nothing the receiver keeps.
+    if (service_.replica_current(m, ctx)) {
+      ++report_.snapshots_skipped;
+      snapshots_skipped_->inc();
+      continue;
+    }
     if (service_.push_snapshot(ctx, m)) {
       ++report_.snapshots_pushed;
       snapshots_pushed_->inc();
@@ -84,12 +93,9 @@ void MigrationDriver::push_to_targets(EntityId ctx) {
 }
 
 bool MigrationDriver::converged(EntityId ctx) const {
-  const std::uint64_t epoch = graph_.rebind_epoch(ctx);
-  for (MachineId m : targets_) {
-    auto applied = service_.replica_epoch(m, ctx);
-    if (!applied || *applied < epoch) return false;
-  }
-  return true;
+  return std::ranges::all_of(targets_, [&](MachineId m) {
+    return service_.replica_current(m, ctx);
+  });
 }
 
 void MigrationDriver::copy_round(std::uint64_t gen) {

@@ -76,6 +76,9 @@ struct MigrationReport {
   ShardId to = AuthorityMap::kNoShard;
   std::size_t contexts = 0;         ///< subtree size at start
   std::size_t snapshots_pushed = 0; ///< copy + catch-up pushes sent
+  /// Pushes not sent because the target already held the context at the
+  /// current epoch (the receiver would have dropped them as stale).
+  std::size_t snapshots_skipped = 0;
   std::size_t catchup_rounds = 0;
   std::size_t moved = 0;            ///< contexts the cutover reassigned
   SimTime cutover_at = 0;
@@ -122,7 +125,8 @@ class MigrationDriver {
   void cutover(std::uint64_t gen);
   void finish(MigrationPhase terminal, std::string error);
   void enter_phase(MigrationPhase phase);
-  /// Snapshot `ctx` to every target-shard machine; counts the pushes.
+  /// Snapshot `ctx` to every target-shard machine not already current;
+  /// counts the pushes and the skips.
   void push_to_targets(EntityId ctx);
   /// Every target machine holds `ctx` at (or past) the graph's epoch.
   [[nodiscard]] bool converged(EntityId ctx) const;
@@ -141,6 +145,7 @@ class MigrationDriver {
   std::uint64_t gen_ = 0;
   MigrationReport report_;
   Counter* snapshots_pushed_;
+  Counter* snapshots_skipped_;
   Counter* catchup_rounds_;
   Counter* completed_;
   Counter* aborted_;

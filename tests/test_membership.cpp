@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -193,6 +194,60 @@ TEST(MembershipHandoff, RejoinTakesItsRingShareBack) {
   // so the placement returns to the pre-leave assignment.
   for (std::size_t i = 0; i < fabric.subtrees.size(); ++i) {
     EXPECT_EQ(cluster->homes().shard_of(fabric.subtrees[i]), before[i]);
+  }
+}
+
+TEST(MembershipHandoff, SecondCycleRecopiesOnlyReboundContexts) {
+  Fabric fabric;
+  auto cluster = make_cluster(fabric, 3);
+  MembershipDirectory& members = *cluster->membership();
+  const MachineId cycler = cluster->machine(1);
+  auto pushed = [&] {
+    return cluster->metrics().counter_value("ns.rebalance.snapshots_pushed");
+  };
+  auto cycle = [&](const std::function<void()>& while_down) {
+    ASSERT_TRUE(members.graceful_leave(cycler).is_ok());
+    members.run_handoffs_to_completion();
+    while_down();
+    ASSERT_TRUE(members.rejoin(cycler).is_ok());
+    members.run_handoffs_to_completion();
+  };
+
+  // Shard 1's share, as the rebinds below need contexts that move.
+  std::vector<EntityId> share;
+  for (EntityId t : fabric.subtrees) {
+    if (cluster->homes().shard_of(t) == ShardId{1}) share.push_back(t);
+  }
+  ASSERT_FALSE(share.empty());
+
+  // First cycle: every store involved starts empty, so both directions
+  // copy the whole share.
+  cycle([] {});
+  const std::uint64_t first = pushed();
+  ASSERT_GT(first, 0u);
+
+  // Second cycle: the survivors still hold the handed-off contexts and the
+  // rejoiner still holds its handed-back ones. Only contexts rebound while
+  // the machine is down are behind on its store.
+  std::size_t rebound = 0;
+  cycle([&] {
+    for (EntityId t : share) {
+      const EntityId extra = fabric.graph.add_data_object("extra");
+      ASSERT_TRUE(fabric.graph.bind(t, Name("extra"), extra).is_ok());
+      ++rebound;
+    }
+  });
+  const std::uint64_t second = pushed() - first;
+  EXPECT_LE(second, rebound);
+  EXPECT_LT(second, first);
+  EXPECT_GT(
+      cluster->metrics().counter_value("ns.rebalance.snapshots_skipped"), 0u);
+
+  // The handback still ran live, and the rebound bindings answer.
+  for (EntityId t : share) {
+    EXPECT_EQ(cluster->homes().shard_of(t), ShardId{1});
+    EXPECT_TRUE(
+        cluster->client().resolve(t, CompoundName::relative("extra")).is_ok());
   }
 }
 

@@ -1,11 +1,13 @@
 // Online rebalancing tests (docs/REBALANCING.md): MigrationDriver phase
 // machine (copy, catch-up of racing rebinds, cutover, forwarding window,
-// abort on an unreachable target), forwarding-tombstone semantics on the
-// old owner, same-seed determinism of a full migration under closed-loop
+// abort on an unreachable target), the copy's epoch gate (no push to a
+// target that already holds the epoch), forwarding-tombstone semantics on
+// the old owner, same-seed determinism of a full migration under closed-loop
 // load, the RebalancePlanner's load/dominance logic, and ring-change
 // planning (delegate_children_by_hash idempotence + plan_ring_change).
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -237,6 +239,114 @@ TEST_F(MigrationTest, AbortsCleanlyOnPartitionedTarget) {
   Result<EntityId> hit = client.resolve(root_, CompoundName::relative("c0/f"));
   ASSERT_TRUE(hit.is_ok());
   EXPECT_EQ(hit.value(), leaf_);
+}
+
+// --- Epoch-gated copy: targets that already hold the epoch --------------------
+
+class HandoffGateTest : public MigrationTest {
+ protected:
+  /// Migrate x_ to `to` and return the finished report.
+  MigrationReport migrate(ShardId to) {
+    EXPECT_TRUE(driver_.start(x_, to, fast_options()).is_ok());
+    MigrationReport report = driver_.run_to_completion();
+    EXPECT_EQ(report.phase, MigrationPhase::kDone);
+    return report;
+  }
+
+  /// Leaves x_'s subtree back on s1 (mb) with *both* mb and mc holding
+  /// every context at the current epoch: s1 → s2 fills mc, s2 → s1 fills
+  /// mb.
+  void warm_both_stores() {
+    EXPECT_EQ(migrate(s2_).snapshots_pushed, 7u);
+    EXPECT_EQ(migrate(s1_).snapshots_pushed, 7u);
+    ASSERT_EQ(homes_.shard_of(x_), s1_);
+  }
+
+  [[nodiscard]] std::uint64_t pushed_counter() const {
+    return transport_.metrics().counter_value("ns.rebalance.snapshots_pushed");
+  }
+};
+
+TEST_F(HandoffGateTest, ReturnTripWithoutRebindsPushesNothing) {
+  warm_both_stores();
+  const std::uint64_t pushed_before = pushed_counter();
+  const std::uint64_t stale_before = server_counter("updates_stale");
+
+  const MigrationReport back = migrate(s2_);
+  EXPECT_EQ(back.snapshots_pushed, 0u);
+  EXPECT_EQ(back.snapshots_skipped, 7u);
+  EXPECT_EQ(back.catchup_rounds, 0u);
+  EXPECT_EQ(back.moved, 7u);
+  EXPECT_EQ(pushed_counter(), pushed_before);
+  EXPECT_EQ(transport_.metrics().counter_value(
+                "ns.rebalance.snapshots_skipped"),
+            7u);
+  // Nothing was sent, so nothing arrived to be dropped as stale.
+  EXPECT_EQ(server_counter("updates_stale"), stale_before);
+
+  // Still cut over: the subtree answers from mc again.
+  for (const EntityId ctx : homes_.shard_subtree(graph_, x_)) {
+    EXPECT_EQ(homes_.shard_of(ctx), s2_);
+  }
+  const std::string mc_served =
+      "ns.server.m" + std::to_string(mc_.value()) + ".served";
+  const std::uint64_t served_before =
+      transport_.metrics().counter_value(mc_served);
+  ResolverClient client(graph_, net_, transport_, sim_, service_, mclient_,
+                        "c");
+  Result<EntityId> hit = client.resolve(x_, CompoundName::relative("f"));
+  ASSERT_TRUE(hit.is_ok());
+  EXPECT_EQ(hit.value(), leaf_);
+  EXPECT_GT(transport_.metrics().counter_value(mc_served), served_before);
+}
+
+TEST_F(HandoffGateTest, ReturnTripPushesExactlyTheReboundContext) {
+  warm_both_stores();
+  // One deep context changes while the subtree sits on s1; mc's copy of
+  // it is now behind, every other copy is current.
+  const EntityId deep = tree_.levels[3][0];
+  ASSERT_EQ(homes_.shard_of(deep), s1_);
+  const EntityId extra = graph_.add_data_object("extra");
+  ASSERT_TRUE(graph_.bind(deep, Name("new"), extra).is_ok());
+  const std::uint64_t epoch = graph_.rebind_epoch(deep);
+  ASSERT_LT(*service_.replica_epoch(mc_, deep), epoch);
+
+  ASSERT_TRUE(driver_.start(x_, s2_, fast_options()).is_ok());
+  // Drive only to the cutover: the store must be current before it.
+  sim_.run_while([&] { return driver_.active(); });
+  ASSERT_EQ(driver_.phase(), MigrationPhase::kForwarding);
+  const std::optional<std::uint64_t> applied_at_cutover =
+      service_.replica_epoch(mc_, deep);
+  const MigrationReport& report = driver_.run_to_completion();
+
+  EXPECT_EQ(report.snapshots_pushed, 1u);
+  EXPECT_EQ(report.snapshots_skipped, 6u);
+  ASSERT_TRUE(applied_at_cutover.has_value());
+  EXPECT_EQ(*applied_at_cutover, epoch);
+
+  ResolverClient client(graph_, net_, transport_, sim_, service_, mclient_,
+                        "c");
+  Result<EntityId> hit = client.resolve(deep, CompoundName::relative("new"));
+  ASSERT_TRUE(hit.is_ok());
+  EXPECT_EQ(hit.value(), extra);
+}
+
+TEST_F(HandoffGateTest, StoreOneEpochBehindStillGetsThePush) {
+  warm_both_stores();
+  // An unbind is a rebind too: it leaves mc's copy of x_ exactly one epoch
+  // behind, which the gate must not mistake for current.
+  ASSERT_TRUE(graph_.unbind(x_, Name("f")).is_ok());
+  ASSERT_EQ(*service_.replica_epoch(mc_, x_) + 1, graph_.rebind_epoch(x_));
+  EXPECT_FALSE(service_.replica_current(mc_, x_));
+
+  const MigrationReport back = migrate(s2_);
+  EXPECT_EQ(back.snapshots_pushed, 1u);
+  EXPECT_TRUE(service_.replica_current(mc_, x_));
+  EXPECT_EQ(*service_.replica_epoch(mc_, x_), graph_.rebind_epoch(x_));
+
+  ResolverClient client(graph_, net_, transport_, sim_, service_, mclient_,
+                        "c");
+  EXPECT_FALSE(client.resolve(x_, CompoundName::relative("f")).is_ok());
 }
 
 // --- Same-seed determinism under closed-loop load -----------------------------

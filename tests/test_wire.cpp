@@ -64,7 +64,7 @@ TEST(Bytes, RoundTrip) {
 TEST(Bytes, TruncatedPayloadFails) {
   std::vector<std::uint8_t> buf;
   put_bytes(buf, "hello");
-  buf.resize(buf.size() - 2);
+  buf.erase(buf.end() - 2, buf.end());
   std::span<const std::uint8_t> in(buf);
   EXPECT_FALSE(get_bytes(in).is_ok());
 }
